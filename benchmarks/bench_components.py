@@ -35,22 +35,6 @@ def test_cache_trace_throughput(benchmark):
     assert hits + misses == len(lines)
 
 
-def test_cache_budgeted_trace_throughput(benchmark):
-    rng = np.random.default_rng(7)
-    lines = rng.integers(0, 2048, size=50_000, dtype=np.int64)
-
-    def run():
-        cache = SetAssociativeCache(GEOMETRY)
-        index = 0
-        while index < len(lines):
-            index, _, _, _ = cache.run_trace_budget(
-                lines, None, index, 2, 77, None, 8000
-            )
-        return index
-
-    assert benchmark(run) == len(lines)
-
-
 def test_sharing_matrix_construction(benchmark):
     epg = ExtendedProcessGraph.from_tasks([build_task("Med-Im04")])
     processes = epg.processes()

@@ -3,16 +3,19 @@
 Complements ``bench_components.py`` (which tracks the scalar reference
 loops): these benchmarks pin the three fast-path tiers — the vectorized
 whole-trace kernel, the analyze-once/adjust-many memo path, and the
-precomputed-row budget loop — so a regression in any tier is caught
-independently of figure-level timings.
+budgeted preemptive loop on the compiled LRU kernel and its scalar
+oracle — so a regression in any tier is caught independently of
+figure-level timings.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.cache.fast_engine import analyze_trace, simulate_trace, warm_adjust
 from repro.cache.geometry import CacheGeometry
+from repro.cache.lru_kernel import LRUState, load_kernel, run_budget
 from repro.cache.memo import TraceMemo, execute_trace, trace_fingerprint
 from repro.cache.sa_cache import SetAssociativeCache
 
@@ -66,22 +69,33 @@ def test_memoized_execute_trace_throughput(benchmark):
     assert hits + misses == len(lines)
 
 
-def test_budget_rows_throughput(benchmark):
+def test_budget_oracle_throughput(benchmark):
     lines, writes = _trace(50_000)
-    rows = list(
-        zip(
-            (lines & (GEOMETRY.num_sets - 1)).tolist(),
-            lines.tolist(),
-            writes.tolist(),
-            [3] * len(lines),
-        )
-    )
+    extra = np.ones(len(lines), dtype=np.int64)
 
     def run():
         cache = SetAssociativeCache(GEOMETRY)
         index = 0
-        while index < len(rows):
-            index, _, _, _ = cache.run_budget_rows(rows, index, 75, 8000)
+        while index < len(lines):
+            index, _, _, _ = cache.run_budget_rows(
+                lines, writes, extra, index, 2, 75, 8000
+            )
+        return index
+
+    assert benchmark(run) == len(lines)
+
+
+def test_budget_kernel_throughput(benchmark):
+    if load_kernel() is None:
+        pytest.skip("no C compiler: the kernel cannot be built")
+    lines, writes = _trace(50_000)
+    extra = np.ones(len(lines), dtype=np.int64)
+
+    def run():
+        state = LRUState(GEOMETRY)
+        index = 0
+        while index < len(lines):
+            index = run_budget(state, lines, writes, extra, index, 2, 75, 8000)[0]
         return index
 
     assert benchmark(run) == len(lines)

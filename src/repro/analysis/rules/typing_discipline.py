@@ -22,10 +22,10 @@ STRICT_CORE = (
     "repro.analysis",
     "repro.api",
     "repro.campaign",
+    "repro.cache.lru_kernel",
     "repro.cache.store",
     "repro.serve",
     "repro.sim.contention",
-    "repro.sim.qplan",
     "repro.util",
 )
 

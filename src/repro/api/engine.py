@@ -86,7 +86,6 @@ def _pool_worker_init(
     memo_mode: str,
     fast_cache: bool,
     trace_memo: bool,
-    quantum_batch: bool,
     fault_plan: str | None,
 ) -> None:
     """Align a fresh pool worker with the parent's tuning state.
@@ -101,7 +100,6 @@ def _pool_worker_init(
 
     from repro.cache.memo import set_fast_cache, set_trace_memo
     from repro.cache.store import active_memo_store, configure_memo_store
-    from repro.sim.qplan import set_quantum_batch
     from repro.util.faults import PLAN_ENV
 
     # Shed fork-inherited asyncio signal plumbing.  A parent running an
@@ -118,7 +116,6 @@ def _pool_worker_init(
 
     set_fast_cache(fast_cache)
     set_trace_memo(trace_memo)
-    set_quantum_batch(quantum_batch)
     if fault_plan:
         _os.environ[PLAN_ENV] = fault_plan
     else:
@@ -135,7 +132,6 @@ def _pool_init_args() -> tuple[object, ...]:
 
     from repro.cache.memo import fast_cache_enabled, trace_memo_enabled
     from repro.cache.store import active_memo_store
-    from repro.sim.qplan import quantum_batch_enabled
     from repro.util.faults import PLAN_ENV
 
     store = active_memo_store()
@@ -144,7 +140,6 @@ def _pool_init_args() -> tuple[object, ...]:
         store.mode if store is not None else "rw",
         fast_cache_enabled(),
         trace_memo_enabled(),
-        quantum_batch_enabled(),
         _os.environ.get(PLAN_ENV),
     )
 

@@ -1,9 +1,10 @@
 """Microbenchmarks for the simulation hot path (``python -m repro bench``).
 
 Times the cache kernels (scalar reference, vectorized engine, memoized
-execution), the preemptive budget loop (scalar rows and the PR-5
-quantum-batched executor), one figure-7 concurrent mix end to end with
-the fast engine enabled and disabled, a cold/warm multi-job figure-7
+execution), the preemptive budget loop (compiled LRU kernel against its
+scalar oracle), the contention axis's overhead on that loop, one
+figure-7 concurrent mix end to end with the fast engine enabled and
+disabled, a cold/warm multi-job figure-7
 campaign against the persistent memo store, and the open-system smoke's
 warm-start behaviour — then writes the results as JSON (default
 ``BENCH_PR5.json``) so the performance trajectory is tracked from PR 2
@@ -31,6 +32,7 @@ import numpy as np
 
 from repro.cache.fast_engine import analyze_trace, simulate_trace, warm_adjust
 from repro.cache.geometry import CacheGeometry
+from repro.cache.lru_kernel import LRUState, load_kernel, run_budget
 from repro.cache.memo import TRACE_MEMO, set_fast_cache, set_trace_memo
 from repro.cache.sa_cache import SetAssociativeCache
 
@@ -107,91 +109,38 @@ def _bench_kernels(quick: bool) -> dict:
 
 
 def _bench_budget(quick: bool) -> dict:
-    """The preemptive (RRS) budget loop, list-reconversion fix included."""
+    """The preemptive (RRS) budget loop: compiled kernel vs scalar oracle."""
     geometry = CacheGeometry(8192, 2, 32)
     n = 20_000 if quick else 100_000
     rng = np.random.default_rng(11)
     lines = rng.integers(0, 2048, size=n).astype(np.int64)
-    rows = list(
-        zip(
-            (lines & (geometry.num_sets - 1)).tolist(),
-            lines.tolist(),
-            [False] * n,
-            [3] * n,
-        )
-    )
+    writes = rng.random(n) < 0.2
+    extra = np.ones(n, dtype=np.int64)
 
-    def run_rows():
+    def run_oracle():
         cache = SetAssociativeCache(geometry)
         index = 0
         while index < n:
-            index, _, _, _ = cache.run_budget_rows(rows, index, 75, 8000)
+            index = cache.run_budget_rows(lines, writes, extra, index, 2, 75, 8000)[0]
 
-    def run_arrays():
-        cache = SetAssociativeCache(geometry)
+    def run_kernel():
+        state = LRUState(geometry)
         index = 0
         while index < n:
-            index, _, _, _ = cache.run_trace_budget(
-                lines, None, index, 2, 77, None, 8000
-            )
+            index = run_budget(state, lines, writes, extra, index, 2, 75, 8000)[0]
 
-    rows_s = _best(run_rows)
-    arrays_s = _best(run_arrays)
-    return {
+    oracle_s = _best(run_oracle)
+    result = {
         "accesses": n,
-        "rows_mps": round(n / rows_s / 1e6, 2),
-        "array_reconvert_mps": round(n / arrays_s / 1e6, 2),
-        "rows_speedup": round(arrays_s / rows_s, 2),
+        "oracle_mps": round(n / oracle_s / 1e6, 2),
+        "kernel_mps": None,
+        "kernel_speedup": None,
     }
-
-
-def _bench_quantum_batch(quick: bool) -> dict:
-    """The quantum-batched preemptive driver vs the scalar rows loop.
-
-    Runs one RRS mix at a 32k-cycle quantum — comfortably above the
-    adaptive batching threshold (:data:`repro.sim.qplan.MIN_BATCH_WINDOW`)
-    — so the compiled-plan executor is active, then repeats with
-    batching disabled.  At the paper's default 8k quantum the driver
-    measures below the threshold and keeps the scalar loop, so the
-    interesting number is the batched regime's speedup.
-    """
-    from dataclasses import replace as dc_replace
-
-    from repro.campaign.spec import build_campaign_workload
-    from repro.sched.round_robin import RoundRobinScheduler
-    from repro.sim.config import MachineConfig
-    from repro.sim.qplan import set_quantum_batch
-    from repro.sim.simulator import MPSoCSimulator
-
-    mix = "mix:2" if quick else "mix:6"
-    epg = build_campaign_workload(mix, scale=1.0, seed=0)
-    config = dc_replace(MachineConfig.paper_default(), quantum_cycles=32_000)
-    simulator = MPSoCSimulator(config)
-    scheduler = RoundRobinScheduler()
-    simulator.run(epg, scheduler)  # warm traces, analyses, plans
-
-    def batched():
-        simulator.run(epg, scheduler)
-
-    def scalar():
-        previous = set_quantum_batch(False)
-        try:
-            simulator.run(epg, scheduler)
-        finally:
-            set_quantum_batch(previous)
-
-    set_quantum_batch(False)
-    simulator.run(epg, scheduler)  # warm the scalar rows too
-    set_quantum_batch(True)
-    batch_s = _best(batched)
-    scalar_s = _best(scalar)
-    return {
-        "workload": mix,
-        "quantum_cycles": 32_000,
-        "scalar_seconds": round(scalar_s, 4),
-        "batched_seconds": round(batch_s, 4),
-        "batched_speedup": round(scalar_s / batch_s, 2),
-    }
+    if load_kernel() is not None:
+        kernel_s = _best(run_kernel)
+        result["kernel_mps"] = round(n / kernel_s / 1e6, 2)
+        result["kernel_speedup"] = round(oracle_s / kernel_s, 1)
+    return result
 
 
 def _bench_contention(quick: bool) -> dict:
@@ -225,7 +174,7 @@ def _bench_contention(quick: bool) -> dict:
     seconds = {}
     for name, machine in machines.items():
         simulator = MPSoCSimulator(machine)
-        simulator.run(epg, scheduler)  # warm this machine's plans
+        simulator.run(epg, scheduler)  # warm this machine's caches
         seconds[name] = _best(lambda sim=simulator: sim.run(epg, scheduler))
     return {
         "workload": mix,
@@ -407,7 +356,6 @@ def run_bench(quick: bool = False) -> dict:
         "machine": platform.machine(),
         "cache_kernels": _bench_kernels(quick),
         "budget_loop": _bench_budget(quick),
-        "quantum_batch": _bench_quantum_batch(quick),
         "contention": _bench_contention(quick),
         "figure7": _bench_figure7(quick),
         "campaign_jobs": _bench_campaign_jobs(quick),
@@ -434,15 +382,14 @@ def render_bench(results: dict) -> str:
             f"memo-adjust {row['memo_adjust_mps']:8.2f} M acc/s"
         )
     budget = results["budget_loop"]
-    lines.append(
-        f"  budget  rows {budget['rows_mps']:6.2f} M acc/s "
-        f"({budget['rows_speedup']}x vs per-quantum reconversion)"
+    kernel = (
+        f"kernel {budget['kernel_mps']:6.2f} M acc/s "
+        f"({budget['kernel_speedup']}x)"
+        if budget["kernel_mps"] is not None
+        else "kernel unavailable (no C compiler)"
     )
-    qbatch = results["quantum_batch"]
     lines.append(
-        f"  quantum-batch ({qbatch['workload']}, q={qbatch['quantum_cycles']}): "
-        f"scalar {qbatch['scalar_seconds']}s vs batched "
-        f"{qbatch['batched_seconds']}s ({qbatch['batched_speedup']}x)"
+        f"  budget  oracle {budget['oracle_mps']:6.2f} M acc/s | {kernel}"
     )
     contention = results["contention"]
     lines.append(

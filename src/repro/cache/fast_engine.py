@@ -47,8 +47,6 @@ from repro.errors import ValidationError
 _U16_MAX = np.iinfo(np.uint16).max
 _EMPTY_MASK = np.zeros(0, dtype=bool)
 _EMPTY_MASK.setflags(write=False)
-_EMPTY_PACKED = np.zeros(0, dtype=np.uint8)
-_EMPTY_PACKED.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -530,24 +528,11 @@ class TraceAnalysis:
     line_meta: dict[int, tuple | bool]
     #: distinct-line count per set, indexed by set number
     set_counts: tuple[int, ...]
-    #: ``np.packbits`` of the cold run's per-access hit mask.  Because
-    #: only *first* touches are state-dependent, a non-first access's
-    #: cold verdict is its verdict under **any** start state whenever its
-    #: reuse window ran contiguously on one cache — which is what lets
-    #: the quantum-batched preemptive driver (:mod:`repro.sim.qplan`)
-    #: reuse the mask for in-segment accesses.  Packed (1 bit/access) so
-    #: long-lived memo entries stay small.
-    packed_hits: np.ndarray = field(default_factory=lambda: _EMPTY_PACKED)
 
     @property
     def num_accesses(self) -> int:
         """Length of the analyzed trace."""
         return self.cold.hits + self.cold.misses
-
-    def cold_hit_mask(self) -> np.ndarray:
-        """The cold run's per-access hit mask, unpacked to bools."""
-        n = self.num_accesses
-        return np.unpackbits(self.packed_hits, count=n).astype(bool)
 
 
 #: Below this many accesses an instrumented scalar cold run beats the
@@ -572,10 +557,8 @@ def analyze_trace(
     cold = simulate_trace(lines, writes, num_sets, assoc, None, collect)
     if not collect:  # empty trace: nothing to adjust, nothing collected
         collect = {"line_meta": {}, "set_counts": (0,) * num_sets}
-    # The unpacked per-access mask is dead weight once the counters are
-    # folded in, and analyses live for a long time in the memo — keep
-    # only the packed form (1 bit per access).
-    packed = np.packbits(cold.hit_mask)
+    # The per-access mask is dead weight once the counters are folded
+    # in, and analyses live for a long time in the memo.
     cold = replace(cold, hit_mask=_EMPTY_MASK)
     return TraceAnalysis(
         num_sets=num_sets,
@@ -583,7 +566,6 @@ def analyze_trace(
         cold=cold,
         line_meta=collect["line_meta"],
         set_counts=collect["set_counts"],
-        packed_hits=packed,
     )
 
 
@@ -618,7 +600,6 @@ def _analyze_scalar(
     g1_write: dict[int, bool] = {}
     g1_evicted: dict[int, bool] = {}
     miss_count: dict[int, int] = {}
-    hit_flags: list[bool] = []
     hits = 0
     misses = 0
     write_hits = 0
@@ -631,7 +612,6 @@ def _analyze_scalar(
         )
         ways = sets[set_index]
         if line in ways:
-            hit_flags.append(True)
             hits += 1
             if ways[0] != line:
                 ways.remove(line)
@@ -642,7 +622,6 @@ def _analyze_scalar(
                 if miss_count[line] == 1:
                     g1_write[line] = True
         else:
-            hit_flags.append(False)
             misses += 1
             seen = miss_count.get(line, 0)
             if seen == 0:
@@ -695,7 +674,6 @@ def _analyze_scalar(
         cold=cold,
         line_meta=line_meta,
         set_counts=tuple(set_seen),
-        packed_hits=np.packbits(np.asarray(hit_flags, dtype=bool)),
     )
 
 

@@ -25,8 +25,9 @@ bounded: when full, the oldest entries are evicted in insertion order.
 Environment switches (read at import, overridable via
 :func:`set_fast_cache` / :func:`set_trace_memo`):
 
-- ``REPRO_FAST_CACHE=0`` — disable the vectorized engine *and* the memo;
-  every trace runs through the scalar reference cache.
+- ``REPRO_FAST_CACHE=0`` — disable the vectorized engine, the memo and
+  the compiled LRU kernel; every trace runs through the scalar
+  reference cache.
 - ``REPRO_TRACE_MEMO=0`` — keep the vectorized engine for long traces
   but disable the analysis memo (useful for benchmarking the engine
   alone).
@@ -37,7 +38,8 @@ from __future__ import annotations
 import hashlib
 import os
 from collections import OrderedDict
-from typing import TYPE_CHECKING
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -87,6 +89,26 @@ def set_fast_cache(enabled: bool) -> bool:
 
         bump_worker_state_epoch()
     return previous
+
+
+@contextmanager
+def scalar_fallback() -> Iterator[None]:
+    """Run on the pure scalar oracle for the duration of one cell.
+
+    The degradation path of :func:`repro.campaign.executor.execute_run`:
+    when a fast path (the vectorized engine, the memo, the compiled LRU
+    kernel) raises, the cell re-runs with the fast cache off.  Unlike
+    :func:`set_fast_cache` it does not bump the worker-state epoch: the
+    downgrade is local to one cell and restored before any pool-reuse
+    decision can observe it, so it must not retire a healthy pool.
+    """
+    global _fast_cache_enabled
+    previous = _fast_cache_enabled
+    _fast_cache_enabled = False
+    try:
+        yield
+    finally:
+        _fast_cache_enabled = previous
 
 
 def trace_memo_enabled() -> bool:
@@ -142,15 +164,6 @@ class TraceMemo:
             return None
         self.hits += 1
         return entry
-
-    def peek(self, key: tuple) -> TraceAnalysis | None:
-        """Fetch an entry without touching the hit/miss counters.
-
-        For opportunistic probes (the preemptive driver's batching
-        heuristic) that must not skew the memo-effectiveness statistics
-        the benchmarks track.
-        """
-        return self._entries.get(key)
 
     def store(self, key: tuple, entry: TraceAnalysis) -> None:
         """Insert an entry, evicting oldest-first beyond the bound."""

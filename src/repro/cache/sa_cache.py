@@ -3,10 +3,10 @@
 This is the per-core L1 data cache of the simulated MPSoC.  It models tag
 state only (no data), with true-LRU replacement and optional dirty-line
 tracking for write-back statistics.  Two trace-execution entry points are
-provided: :meth:`run_trace` (run to completion, returns hit count — the
-non-preemptive schedulers' fast path) and :meth:`run_trace_budget`
-(run until a cycle budget is exhausted — the round-robin scheduler's
-preemption path).
+provided: :meth:`run_trace` (run to completion — the non-preemptive
+schedulers' path) and :meth:`run_budget_rows` (run until a cycle budget
+is exhausted — the round-robin scheduler's preemption path, and the
+oracle of the compiled kernel in :mod:`repro.cache.lru_kernel`).
 
 The cache deliberately has **no** flush-on-context-switch: cache contents
 surviving from the previously scheduled process on the same core is
@@ -14,6 +14,8 @@ exactly the reuse the paper's scheduler exploits.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 import numpy as np
 
@@ -226,22 +228,25 @@ class SetAssociativeCache:
         stats.dirty_evictions += dirty_evictions
         return hits, misses
 
-    def run_trace_budget(
+    def run_budget_rows(
         self,
         lines: np.ndarray,
         writes: np.ndarray | None,
+        extra_cycles: np.ndarray | None,
         start: int,
         hit_cost: int,
-        miss_cost: int,
-        extra_cycles: np.ndarray | None,
+        miss_extra: int,
         budget: int,
     ) -> tuple[int, int, int, int]:
         """Run from ``start`` until the cycle ``budget`` is exhausted.
 
-        Each access costs ``hit_cost`` or ``miss_cost`` cycles plus the
-        per-entry ``extra_cycles`` (the compute charged at iteration
-        boundaries).  Execution stops *after* the access whose completion
-        meets or exceeds the budget (a quantum never splits an access).
+        A hit costs ``hit_cost`` cycles, a miss ``hit_cost +
+        miss_extra``, and every access adds its ``extra_cycles`` entry
+        (the compute charged at iteration boundaries).  Execution stops
+        *after* the access whose completion meets or exceeds the budget
+        (a quantum never splits an access).  This is the reference the
+        compiled kernel (:func:`repro.cache.lru_kernel.run_budget`) is
+        checked against, and the preemptive driver's fallback.
 
         Returns ``(next_index, cycles_used, hits, misses)``; ``next_index``
         equals ``len(lines)`` when the trace completed.
@@ -255,25 +260,8 @@ class SetAssociativeCache:
         set_mask = self._set_mask
         assoc = self._assoc
         dirty = self._dirty
-        # Plain lists pass through untouched: the preemptive driver calls
-        # this once per quantum, and re-converting the full trace on every
-        # dispatch made RRS O(trace_len × quanta).  ProcessTrace caches
-        # the converted lists (see ProcessTrace.as_lists).
-        line_list = (
-            lines
-            if isinstance(lines, list)
-            else np.asarray(lines, dtype=np.int64).tolist()
-        )
-        write_list = (
-            writes
-            if isinstance(writes, list) or writes is None
-            else np.asarray(writes, dtype=bool).tolist()
-        )
-        extra_list = (
-            extra_cycles
-            if isinstance(extra_cycles, list) or extra_cycles is None
-            else np.asarray(extra_cycles, dtype=np.int64).tolist()
-        )
+        end = len(lines)
+        miss_cost = hit_cost + miss_extra
         used = 0
         hits = 0
         misses = 0
@@ -281,100 +269,51 @@ class SetAssociativeCache:
         write_misses = 0
         dirty_evictions = 0
         index = start
-        end = len(line_list)
+        # Convert the arrays in doubling chunks: a quantum touches a
+        # short slice of a long trace, and converting the whole trace on
+        # every dispatch would make a run O(trace length x quanta).
+        chunk = 256
         while index < end and used < budget:
-            line = line_list[index]
-            is_write = write_list[index] if write_list is not None else False
-            ways = sets[line & set_mask]
-            if line in ways:
-                hits += 1
-                used += hit_cost
-                if ways[0] != line:
-                    ways.remove(line)
+            stop = min(end, index + chunk)
+            chunk *= 2
+            line_list = np.asarray(lines[index:stop], dtype=np.int64).tolist()
+            count = len(line_list)
+            write_list = (
+                repeat(False, count)
+                if writes is None
+                else np.asarray(writes[index:stop], dtype=bool).tolist()
+            )
+            extra_list = (
+                repeat(0, count)
+                if extra_cycles is None
+                else np.asarray(extra_cycles[index:stop], dtype=np.int64).tolist()
+            )
+            for line, is_write, extra in zip(line_list, write_list, extra_list):
+                index += 1
+                ways = sets[line & set_mask]
+                if line in ways:
+                    hits += 1
+                    used += hit_cost + extra
+                    if ways[0] != line:
+                        ways.remove(line)
+                        ways.insert(0, line)
+                    if is_write:
+                        write_hits += 1
+                        dirty.add(line)
+                else:
+                    misses += 1
+                    used += miss_cost + extra
+                    if is_write:
+                        write_misses += 1
+                        dirty.add(line)
                     ways.insert(0, line)
-                if is_write:
-                    write_hits += 1
-                    dirty.add(line)
-            else:
-                misses += 1
-                used += miss_cost
-                if is_write:
-                    write_misses += 1
-                    dirty.add(line)
-                ways.insert(0, line)
-                if len(ways) > assoc:
-                    victim = ways.pop()
-                    if victim in dirty:
-                        dirty.discard(victim)
-                        dirty_evictions += 1
-            if extra_list is not None:
-                used += extra_list[index]
-            index += 1
-        self.stats.hits += hits
-        self.stats.misses += misses
-        self.stats.write_hits += write_hits
-        self.stats.write_misses += write_misses
-        self.stats.dirty_evictions += dirty_evictions
-        return index, used, hits, misses
-
-    def run_budget_rows(
-        self,
-        rows: list[tuple[int, int, bool, int]],
-        start: int,
-        miss_extra: int,
-        budget: int,
-    ) -> tuple[int, int, int, int]:
-        """Budgeted execution over precomputed per-access rows.
-
-        ``rows`` come from :meth:`ProcessTrace.budget_rows`: each entry is
-        ``(set_index, line, is_write, base_cost)`` with the hit latency
-        and the access's compute cycles folded into ``base_cost``; a miss
-        additionally costs ``miss_extra``.  Semantically identical to
-        :meth:`run_trace_budget` (same counters, same stop rule) with the
-        per-access bookkeeping stripped to one index and one add — this
-        is the preemptive driver's hot loop, entered once per quantum.
-        """
-        if start < 0 or start > len(rows):
-            raise ValidationError(f"start index {start} out of range")
-        if budget <= 0:
-            raise ValidationError(f"budget must be positive, got {budget}")
-        self._materialize()
-        sets = self._sets
-        assoc = self._assoc
-        dirty = self._dirty
-        used = 0
-        hits = 0
-        misses = 0
-        write_hits = 0
-        write_misses = 0
-        dirty_evictions = 0
-        index = start
-        end = len(rows)
-        while index < end and used < budget:
-            set_index, line, is_write, base = rows[index]
-            index += 1
-            ways = sets[set_index]
-            if line in ways:
-                hits += 1
-                used += base
-                if ways[0] != line:
-                    ways.remove(line)
-                    ways.insert(0, line)
-                if is_write:
-                    write_hits += 1
-                    dirty.add(line)
-            else:
-                misses += 1
-                used += base + miss_extra
-                if is_write:
-                    write_misses += 1
-                    dirty.add(line)
-                ways.insert(0, line)
-                if len(ways) > assoc:
-                    victim = ways.pop()
-                    if victim in dirty:
-                        dirty.discard(victim)
-                        dirty_evictions += 1
+                    if len(ways) > assoc:
+                        victim = ways.pop()
+                        if victim in dirty:
+                            dirty.discard(victim)
+                            dirty_evictions += 1
+                if used >= budget:
+                    break
         stats = self.stats
         stats.hits += hits
         stats.misses += misses

@@ -58,7 +58,7 @@ from repro.util.invalidation import bump_worker_state_epoch, register_worker_sta
 #: Bump whenever the persisted value layout changes (pickled
 #: TraceAnalysis fields, RunResult schema): mismatched stores are
 #: dropped (rw) or ignored (ro) rather than trusted.
-STORE_VERSION = "pr5-1"
+STORE_VERSION = "v2"
 
 #: Database file name inside the memo directory.
 DB_NAME = "memo.sqlite"

@@ -235,19 +235,19 @@ def _adopt_cached(run: RunSpec, cached: "RunResult") -> "RunResult":
 def execute_run(run: RunSpec) -> RunResult:
     """Execute one cell; pure function of the spec (workers call this).
 
-    A cell whose fast path (quantum batching, vectorized engine) raises
-    is transparently re-run under the pure scalar oracle — bit-identical
-    by construction — and the result carries the downgrade note, so one
-    bad compiled plan degrades one cell's speed, never a campaign.
+    A cell whose fast path (compiled LRU kernel, vectorized engine)
+    raises is transparently re-run under the pure scalar oracle —
+    bit-identical by construction — and the result carries the
+    downgrade note, so one faulty fast path degrades one cell's speed,
+    never a campaign.
     """
     fault_point("cell", run.cell_key())
     try:
         return _execute_cell(run)
     except Exception as exc:
-        from repro.cache.memo import fast_cache_enabled
-        from repro.sim.qplan import quantum_batch_enabled, scalar_fallback
+        from repro.cache.memo import fast_cache_enabled, scalar_fallback
 
-        if not (fast_cache_enabled() or quantum_batch_enabled()):
+        if not fast_cache_enabled():
             raise  # already on the scalar oracle: the error is organic
         with scalar_fallback():
             result = _execute_cell(run)

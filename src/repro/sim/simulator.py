@@ -45,10 +45,10 @@ Modelling notes (documented substitutions for Simics):
   machine's contention model is charged once on the segment's aggregate
   off-chip transfers (misses plus dirty write-backs) and its undelayed
   wall duration, and the returned stall extends the segment.  The stall
-  is a pure function of those per-segment aggregates, so the scalar and
-  quantum-batched paths charge bit-identical delays and hit/miss counts
-  are never perturbed (see :mod:`repro.sim.contention`).  The default
-  ``none`` model skips the branch entirely.
+  is a pure function of those per-segment aggregates, so the compiled
+  kernel and the scalar oracle charge bit-identical delays and hit/miss
+  counts are never perturbed (see :mod:`repro.sim.contention`).  The
+  default ``none`` model skips the branch entirely.
 """
 
 from __future__ import annotations
@@ -56,12 +56,10 @@ from __future__ import annotations
 import heapq
 from collections import deque
 
-import numpy as np
-
-from repro.cache.memo import execute_trace, fast_cache_enabled, trace_memo_enabled
+from repro.cache.lru_kernel import LRUState, load_kernel, run_budget
+from repro.cache.memo import execute_trace, fast_cache_enabled
 from repro.cache.miss_classifier import MissClassifier
 from repro.cache.sa_cache import SetAssociativeCache
-from repro.cache.stats import CacheStats
 from repro.errors import (
     InfeasibleScheduleError,
     SchedulingError,
@@ -74,14 +72,6 @@ from repro.sim.arrivals import ArrivalSchedule
 from repro.sim.config import MachineConfig
 from repro.sim.contention import contention_model_for
 from repro.sim.engine import EventQueue
-from repro.sim.qplan import (
-    MIN_BATCH_WINDOW,
-    compile_quantum_plan,
-    estimate_quantum_accesses,
-    make_way_table,
-    quantum_batch_enabled,
-    run_plan_quantum,
-)
 from repro.sim.results import (
     CoreRecord,
     OpenSystemResult,
@@ -89,6 +79,12 @@ from repro.sim.results import (
     SimulationResult,
 )
 from repro.sim.trace import ProcessTrace, build_trace
+
+#: perfbench/tracer.py wraps these names; the compiled LRU kernel
+#: replaced quantum plans, so they stay unbound until the benchmark's
+#: layer list changes.  Until then its traced runs count kernel time in
+#: ``sim.simulator.self_s``.
+compile_quantum_plan = run_plan_quantum = None
 
 
 class MPSoCSimulator:
@@ -532,18 +528,17 @@ class MPSoCSimulator:
         num_cores = self._config.num_cores
         quantum = plan.quantum_cycles
         config = self._config
-        caches, _ = self._make_caches()
+        # Every budgeted dispatch runs on the compiled LRU kernel unless
+        # the fast cache is off or the kernel cannot be built; then the
+        # scalar oracle runs instead, with identical results.
+        use_kernel = fast_cache_enabled() and load_kernel() is not None
+        cache_type = LRUState if use_kernel else SetAssociativeCache
+        caches = [
+            cache_type(config.geometry_for(core)) for core in range(num_cores)
+        ]
         contention = contention_model_for(config)
         queue_delay = [0] * num_cores
         transfers_of = [0] * num_cores
-        # Per-core set masks (heterogeneous caches may differ in size or
-        # associativity); ``budget_rows`` memoizes per mask, so the
-        # homogeneous machine still converts each trace exactly once.
-        set_masks = [cache.geometry.num_sets - 1 for cache in caches]
-        geometries = [
-            (cache.geometry.num_sets, cache.geometry.associativity)
-            for cache in caches
-        ]
         hit_cost = config.cache_hit_cycles
         miss_extra = config.memory_latency_cycles
         # Work budget per quantum, in Table-2-core work cycles: a core at
@@ -552,43 +547,6 @@ class MPSoCSimulator:
             max(1, int(quantum * config.speed_for(core)))
             for core in range(num_cores)
         ]
-        # Quantum batching replaces the scalar per-access walk with the
-        # compiled-plan executor (repro.sim.qplan) — bit-identical, and
-        # gated on the fast engine so REPRO_FAST_CACHE=0 remains a pure
-        # scalar oracle mode.  Batching pays off only when quanta span
-        # enough accesses to amortize its per-quantum vector setup, so
-        # each core opts in by its expected window (budget over the
-        # run's mean per-access base cost); a core either batches every
-        # dispatch or none, keeping its tag state in one backend.  Cores
-        # with associativity ≤ 2 (the paper machine) keep that state in
-        # vectorized way tables; wider caches use the scalar cache's
-        # per-set lists in place.
-        batch = (
-            quantum_batch_enabled()
-            and fast_cache_enabled()
-            and trace_memo_enabled()
-        )
-        batch_core = [False] * num_cores
-        way_tables: list = [None] * num_cores
-        if batch:
-            estimates: dict[tuple, float] = {}
-            for core in range(num_cores):
-                num_sets, assoc = geometries[core]
-                key = (num_sets, assoc, budgets[core])
-                estimate = estimates.get(key)
-                if estimate is None:
-                    estimate = estimate_quantum_accesses(
-                        traces.values(),
-                        num_sets,
-                        assoc,
-                        hit_cost,
-                        miss_extra,
-                        budgets[core],
-                    )
-                    estimates[key] = estimate
-                if estimate >= MIN_BATCH_WINDOW:
-                    batch_core[core] = True
-                    way_tables[core] = make_way_table(caches[core].geometry)
         events = EventQueue()
         pending = {pid: len(epg.predecessors(pid)) for pid in epg.pids}
         release = release or {}
@@ -625,20 +583,24 @@ class MPSoCSimulator:
             trace = traces[pid]
             cache = caches[core]
             evictions_before = cache.stats.dirty_evictions
-            if batch_core[core]:
-                num_sets, assoc = geometries[core]
-                next_index, used, hits, misses = run_plan_quantum(
+            if use_kernel:
+                next_index, used, hits, misses, _, _, _ = run_budget(
                     cache,
-                    compile_quantum_plan(trace, num_sets, assoc, hit_cost),
+                    trace.lines,
+                    trace.writes,
+                    trace.extra_cycles,
                     cursor[pid],
+                    hit_cost,
                     miss_extra,
                     budgets[core],
-                    way_tables[core],
                 )
             else:
                 next_index, used, hits, misses = cache.run_budget_rows(
-                    trace.budget_rows(set_masks[core], hit_cost),
+                    trace.lines,
+                    trace.writes,
+                    trace.extra_cycles,
                     cursor[pid],
+                    hit_cost,
                     miss_extra,
                     budgets[core],
                 )

@@ -23,7 +23,6 @@ from repro.cache.geometry import CacheGeometry
 from repro.cache.memo import trace_fingerprint
 from repro.errors import ValidationError
 from repro.procgraph.process import Process
-from repro.util.memo import BoundedDict
 
 
 @dataclass(frozen=True)
@@ -72,52 +71,9 @@ class ProcessTrace:
             object.__setattr__(self, "_fingerprint", cached)
         return cached
 
-    def as_lists(self) -> tuple[list, list, list]:
-        """The trace arrays as plain Python lists, converted once.
-
-        The preemptive (shared-queue) driver walks traces access by
-        access in Python; handing it lists avoids re-converting the full
-        arrays on every quantum dispatch.
-        """
-        cached = getattr(self, "_lists", None)
-        if cached is None:
-            cached = (
-                self.lines.tolist(),
-                self.writes.tolist(),
-                self.extra_cycles.tolist(),
-            )
-            object.__setattr__(self, "_lists", cached)
-        return cached
-
-    def budget_rows(
-        self, set_mask: int, hit_cost: int
-    ) -> list[tuple[int, int, bool, int]]:
-        """Per-access ``(set, line, is_write, base_cost)`` rows, cached.
-
-        ``base_cost`` folds the hit latency into the per-access compute
-        cycles, so the budgeted loop
-        (:meth:`SetAssociativeCache.run_budget_rows`) does one list
-        index and one add per access instead of three indexes and a
-        modulo.  Keyed by ``(set_mask, hit_cost)`` — the only machine
-        parameters baked into the rows.
-        """
-        caches = getattr(self, "_budget_rows", None)
-        if caches is None:
-            caches = BoundedDict(4)
-            object.__setattr__(self, "_budget_rows", caches)
-        key = (set_mask, hit_cost)
-        rows = caches.get(key)
-        if rows is None:
-            rows = list(
-                zip(
-                    (self.lines & set_mask).tolist(),
-                    self.lines.tolist(),
-                    self.writes.tolist(),
-                    (self.extra_cycles + hit_cost).tolist(),
-                )
-            )
-            caches.put(key, rows)
-        return rows
+    #: perfbench/tracer.py wraps this name; the compiled LRU kernel reads
+    #: the arrays above directly, so no per-trace rows are built.
+    budget_rows = None
 
 
 def build_trace(process: Process, layout, geometry: CacheGeometry) -> ProcessTrace:

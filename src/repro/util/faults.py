@@ -31,8 +31,8 @@ Rules are ``<action>@<site>[:<glob>][,param=value]*``:
   store site passes its database path);
 - sites — where :func:`fault_point` calls are compiled into the
   production code: ``cell`` (entry of every campaign-cell execution,
-  keyed by the cell key), ``qplan`` (entry of every batched quantum,
-  key ``"run"``), ``store`` (memo-store connection setup, keyed by
+  keyed by the cell key), ``kernel`` (entry of every compiled-LRU
+  quantum, key ``"run"``), ``store`` (memo-store connection setup, keyed by
   the database path), and ``serve`` (the campaign service's request
   and event paths, keyed ``request:<op>`` / ``event:<kind>`` —
   awaited via :func:`async_fault_point` so sleeps never block the
@@ -69,7 +69,7 @@ PLAN_ENV = "REPRO_FAULT_PLAN"
 ACTIONS = ("crash", "error", "hang", "delay", "disconnect", "corrupt")
 
 #: The compiled-in injection sites.
-SITES = ("cell", "qplan", "store", "serve")
+SITES = ("cell", "kernel", "store", "serve")
 
 #: Exit status of an injected worker crash (distinctive in core dumps
 #: and CI logs; any non-zero status breaks the pool identically).

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.geometry import CacheGeometry
@@ -155,8 +154,8 @@ class TestCacheProperties:
         sliced = SetAssociativeCache(CacheGeometry(128, 2, 32))
         index = 0
         while index < len(trace):
-            index, _, _, _ = sliced.run_trace_budget(
-                trace, None, index, 2, 77, None, budget
+            index, _, _, _ = sliced.run_budget_rows(
+                trace, None, None, index, 2, 75, budget
             )
         assert sliced.stats == whole.stats
         assert sliced.resident_lines() == whole.resident_lines()

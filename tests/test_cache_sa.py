@@ -140,12 +140,12 @@ class TestRunTrace:
         assert hits == 3  # everything cached from the first trace
 
 
-class TestRunTraceBudget:
+class TestRunBudgetRows:
     def test_stops_when_budget_exhausted(self):
         cache = make_cache()
         lines = np.arange(100, dtype=np.int64)  # all misses: cost 77 each
-        index, used, hits, misses = cache.run_trace_budget(
-            lines, None, 0, 2, 77, None, budget=200
+        index, used, hits, misses = cache.run_budget_rows(
+            lines, None, None, 0, 2, 75, budget=200
         )
         assert index == 3  # 77*2 < 200 <= 77*3
         assert used == 231
@@ -154,9 +154,9 @@ class TestRunTraceBudget:
     def test_resumes_from_cursor(self):
         cache = make_cache()
         lines = np.arange(10, dtype=np.int64)
-        index, _, _, _ = cache.run_trace_budget(lines, None, 0, 2, 77, None, 155)
-        index2, _, _, misses2 = cache.run_trace_budget(
-            lines, None, index, 2, 77, None, 10**9
+        index, _, _, _ = cache.run_budget_rows(lines, None, None, 0, 2, 75, 155)
+        index2, _, _, misses2 = cache.run_budget_rows(
+            lines, None, None, index, 2, 75, 10**9
         )
         assert index2 == len(lines)
         assert misses2 == len(lines) - index
@@ -165,23 +165,23 @@ class TestRunTraceBudget:
         cache = make_cache()
         lines = np.zeros(5, dtype=np.int64)
         extra = np.full(5, 10, dtype=np.int64)
-        _, used, hits, misses = cache.run_trace_budget(
-            lines, None, 0, 2, 77, extra, budget=10**9
+        _, used, hits, misses = cache.run_budget_rows(
+            lines, None, extra, 0, 2, 75, budget=10**9
         )
         assert used == 77 + 4 * 2 + 5 * 10
 
     def test_completion_returns_trace_length(self):
         cache = make_cache()
         lines = np.array([0, 0], dtype=np.int64)
-        index, _, hits, _ = cache.run_trace_budget(lines, None, 0, 2, 77, None, 10**9)
+        index, _, hits, _ = cache.run_budget_rows(lines, None, None, 0, 2, 75, 10**9)
         assert index == 2 and hits == 1
 
     def test_invalid_start_rejected(self):
         cache = make_cache()
         with pytest.raises(ValidationError):
-            cache.run_trace_budget(np.array([0]), None, 5, 2, 77, None, 100)
+            cache.run_budget_rows(np.array([0]), None, None, 5, 2, 75, 100)
 
     def test_nonpositive_budget_rejected(self):
         cache = make_cache()
         with pytest.raises(ValidationError):
-            cache.run_trace_budget(np.array([0]), None, 0, 2, 77, None, 0)
+            cache.run_budget_rows(np.array([0]), None, None, 0, 2, 75, 0)

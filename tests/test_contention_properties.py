@@ -9,9 +9,9 @@ Five invariants gate the contention axis (see the module docstring of
    heterogeneous machines.  Degenerate parameterizations (a NoC with
    ``hop_cycles=0``, a bus with an effectively infinite budget) match
    the null run's schedule exactly and charge zero queueing delay.
-2. **Batched-vs-scalar equality** — the quantum-batched executor and
-   the scalar walk charge bit-identical delays under every registered
-   model.
+2. **Kernel-vs-oracle equality** — the compiled LRU kernel and the
+   pure scalar oracle (``set_fast_cache(False)``) charge bit-identical
+   delays under every registered model.
 3. **Monotonicity** — on a fixed (static or single-core) schedule,
    more bus bandwidth never slows anything down.
 4. **Conservation** — contention delays events; it never changes what
@@ -37,10 +37,9 @@ from repro.sched.round_robin import RoundRobinScheduler
 from repro.sim.arrivals import AppArrival, ArrivalSchedule
 from repro.sim.config import MachineConfig
 from repro.sim.contention import BusContention, NocContention
-from repro.sim.qplan import set_quantum_batch
 from repro.sim.simulator import MPSoCSimulator
 
-from test_quantum_batch import _epg, _force_batching
+from test_lru_kernel import _epg, kernel_and_oracle
 
 #: A budget so large the per-core share always covers a segment's need.
 HUGE_BUDGET = 1 << 40
@@ -193,32 +192,22 @@ class TestNullIdentity:
             assert contended.total_queue_delay_cycles == 0
 
 
-class TestBatchedScalarEquality:
-    """Invariant 2: the quantum-batched and scalar paths charge alike."""
+class TestKernelOracleEquality:
+    """Invariant 2: the compiled kernel and the scalar oracle charge alike."""
 
     @pytest.mark.parametrize("name,params", CONTENTION_OVERRIDES)
     @pytest.mark.parametrize("seed", range(4))
-    def test_closed_runs_match(
-        self, monkeypatch, seed, name, params, small_machine
-    ):
-        _force_batching(monkeypatch)
+    def test_closed_runs_match(self, seed, name, params, small_machine):
         epg = _epg(seed + 40)
         simulator = MPSoCSimulator(_machine(small_machine, name, params))
-        set_quantum_batch(True)
-        batched = simulator.run(epg, RoundRobinScheduler())
-        set_quantum_batch(False)
-        try:
-            scalar = simulator.run(epg, RoundRobinScheduler())
-        finally:
-            set_quantum_batch(True)
-        assert _canon(batched) == _canon(scalar)
+        fast, oracle = kernel_and_oracle(
+            lambda: simulator.run(epg, RoundRobinScheduler())
+        )
+        assert _canon(fast) == _canon(oracle)
 
     @pytest.mark.parametrize("name,params", CONTENTION_OVERRIDES[:2])
     @pytest.mark.parametrize("seed", range(2))
-    def test_open_runs_match(
-        self, monkeypatch, seed, name, params, small_machine
-    ):
-        _force_batching(monkeypatch)
+    def test_open_runs_match(self, seed, name, params, small_machine):
         epg = _epg(seed + 140)
         rng = np.random.default_rng(seed)
         schedule = ArrivalSchedule(
@@ -228,14 +217,10 @@ class TestBatchedScalarEquality:
             )
         )
         simulator = MPSoCSimulator(_machine(small_machine, name, params))
-        set_quantum_batch(True)
-        batched = simulator.run_open(epg, RoundRobinScheduler(), schedule)
-        set_quantum_batch(False)
-        try:
-            scalar = simulator.run_open(epg, RoundRobinScheduler(), schedule)
-        finally:
-            set_quantum_batch(True)
-        assert _canon(batched) == _canon(scalar)
+        fast, oracle = kernel_and_oracle(
+            lambda: simulator.run_open(epg, RoundRobinScheduler(), schedule)
+        )
+        assert _canon(fast) == _canon(oracle)
 
 
 class TestMonotonicity:

@@ -236,43 +236,6 @@ class TestExecuteTraceMemo:
             set_trace_memo(previous)
 
 
-class TestBudgetRows:
-    def test_run_budget_rows_matches_run_trace_budget(self):
-        rng = np.random.default_rng(13)
-        geometry = CacheGeometry(512, 2, 32)
-        for _ in range(60):
-            n = int(rng.integers(1, 600))
-            lines = rng.integers(0, 40, size=n).astype(np.int64)
-            writes = rng.random(n) < 0.3
-            extra = rng.integers(0, 4, size=n).astype(np.int64)
-            budget = int(rng.integers(20, 400))
-            hit_cost, miss_extra = 2, 75
-            rows = list(
-                zip(
-                    (lines & (geometry.num_sets - 1)).tolist(),
-                    lines.tolist(),
-                    writes.tolist(),
-                    (extra + hit_cost).tolist(),
-                )
-            )
-            a = SetAssociativeCache(geometry)
-            b = SetAssociativeCache(geometry)
-            index_a = index_b = 0
-            while index_a < n:
-                index_a, used_a, hit_a, miss_a = a.run_trace_budget(
-                    lines, writes, index_a, hit_cost,
-                    hit_cost + miss_extra, extra, budget,
-                )
-                index_b, used_b, hit_b, miss_b = b.run_budget_rows(
-                    rows, index_b, miss_extra, budget
-                )
-                assert (index_a, used_a, hit_a, miss_a) == (
-                    index_b, used_b, hit_b, miss_b,
-                )
-            assert a.stats == b.stats
-            assert a.export_state() == b.export_state()
-
-
 class TestCampaignMemoCorrectness:
     def test_memoized_campaign_equals_cold_run(self):
         """A campaign served by warm memos == the same campaign run cold."""

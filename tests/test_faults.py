@@ -29,7 +29,7 @@ class TestPlanGrammar:
             f"seed=42; ledger={tmp_path}; "
             "crash@cell:MxM*,times=1; "
             "hang@cell:*LS*,seconds=2.5,p=0.5; "
-            "error@qplan; corrupt@store"
+            "error@kernel; corrupt@store"
         )
         assert plan.seed == 42
         assert plan.ledger == tmp_path
@@ -49,7 +49,7 @@ class TestPlanGrammar:
 
     def test_default_ledger_is_per_plan(self):
         a = FaultPlan.parse("error@cell")
-        b = FaultPlan.parse("error@qplan")
+        b = FaultPlan.parse("error@kernel")
         assert a.ledger is not None
         assert a.ledger != b.ledger
         assert FaultPlan.parse("error@cell").ledger == a.ledger
@@ -155,11 +155,11 @@ class TestActivation:
         assert PLAN_ENV not in os.environ
 
     def test_fault_point_site_filtering(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(PLAN_ENV, f"ledger={tmp_path}; error@qplan")
+        monkeypatch.setenv(PLAN_ENV, f"ledger={tmp_path}; error@kernel")
         fault_point("cell", "key")  # different site: no-op
         with pytest.raises(InjectedFaultError) as info:
-            fault_point("qplan", "run")
-        assert info.value.site == "qplan"
+            fault_point("kernel", "run")
+        assert info.value.site == "kernel"
         assert info.value.key == "run"
 
 

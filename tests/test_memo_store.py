@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import sqlite3
 
@@ -40,7 +39,6 @@ def _analysis_equal(a, b) -> bool:
         and a.cold.end_state == b.cold.end_state
         and a.line_meta == b.line_meta
         and a.set_counts == b.set_counts
-        and np.array_equal(a.packed_hits, b.packed_hits)
     )
 
 

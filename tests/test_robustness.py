@@ -192,15 +192,16 @@ class TestStoreCorruption:
 
 
 class TestGracefulDowngrade:
-    def test_qplan_fault_downgrades_cell_to_scalar_identically(
+    def test_kernel_fault_downgrades_cell_to_scalar_identically(
         self, fault_plan, tmp_path
     ):
-        """A cell whose batched executor raises re-runs on the scalar
+        """A cell whose compiled LRU kernel raises re-runs on the scalar
         oracle: same numbers, plus a downgrade note."""
-        from repro.sim.qplan import set_quantum_batch
+        from repro.cache.lru_kernel import load_kernel
+        from repro.cache.memo import set_fast_cache
 
-        # RRS on the 32k-quantum machine batches (the paper machine's
-        # 8k quantum stays under the adaptive window)
+        if load_kernel() is None:
+            pytest.skip("no C compiler: the kernel fault site is unreachable")
         spec = CampaignSpec(
             name="downgrade",
             workloads=("MxM",),
@@ -210,18 +211,18 @@ class TestGracefulDowngrade:
             scale=1.0,
         )
         clear_cell_memo()
-        fault_plan(f"ledger={tmp_path}; error@qplan,times=1")
+        fault_plan(f"ledger={tmp_path}; error@kernel,times=1")
         faulty = run_campaign(spec).results[0]
         assert faulty.downgraded is not None
         assert "InjectedFaultError" in faulty.downgraded
 
         configure_fault_plan(None)
         clear_cell_memo()
-        set_quantum_batch(False)
+        previous = set_fast_cache(False)
         try:
             scalar = run_campaign(spec).results[0]
         finally:
-            set_quantum_batch(True)
+            set_fast_cache(previous)
             clear_cell_memo()
         fa = dataclasses.asdict(faulty)
         fb = dataclasses.asdict(scalar)
@@ -246,31 +247,34 @@ class TestGracefulDowngrade:
         assert "downgraded" not in clean.to_dict()
 
     def test_scalar_fallback_restores_engine_state(self):
-        from repro.cache.memo import fast_cache_enabled
-        from repro.sim.qplan import quantum_batch_enabled, scalar_fallback
+        from repro.cache.memo import (
+            fast_cache_enabled,
+            scalar_fallback,
+            trace_memo_enabled,
+        )
+        from repro.util.invalidation import worker_state_epoch
 
-        before = (fast_cache_enabled(), quantum_batch_enabled())
+        before = (fast_cache_enabled(), trace_memo_enabled())
+        epoch = worker_state_epoch()
         with scalar_fallback():
             assert not fast_cache_enabled()
-            assert not quantum_batch_enabled()
-        assert (fast_cache_enabled(), quantum_batch_enabled()) == before
+            assert trace_memo_enabled() == before[1]
+        assert (fast_cache_enabled(), trace_memo_enabled()) == before
+        assert worker_state_epoch() == epoch
 
     def test_organic_error_on_scalar_path_still_raises(self, fault_plan, tmp_path):
         """With the fast paths off, there is no oracle to fall back to:
         the error must propagate (no infinite downgrade loops)."""
         from repro.cache.memo import set_fast_cache
         from repro.errors import InjectedFaultError
-        from repro.sim.qplan import set_quantum_batch
 
         fault_plan(f"ledger={tmp_path}; error@cell:*|LS|*")
         set_fast_cache(False)
-        set_quantum_batch(False)
         try:
             with pytest.raises(InjectedFaultError):
                 Engine().run_many(_spec(schedulers=("LS",), seeds=(0,)).expand())
         finally:
             set_fast_cache(True)
-            set_quantum_batch(True)
 
 
 class TestArtefactStability:
