@@ -1,10 +1,9 @@
-"""Throughput of the vectorized cache engine and the trace memo.
+"""Throughput of the compiled LRU kernel.
 
-Complements ``bench_components.py`` (which tracks the scalar reference
-loops): these benchmarks pin the three fast-path tiers — the vectorized
-whole-trace kernel, the analyze-once/adjust-many memo path, and the
-budgeted preemptive loop on the compiled LRU kernel and its scalar
-oracle — so a regression in any tier is caught independently of
+Complements ``bench_components.py`` (which tracks the scalar whole-trace
+loop): these benchmarks pin the kernel's two uses — whole traces for the
+static and dynamic drivers, and the budgeted preemptive loop beside its
+scalar oracle — so a regression in either is caught independently of
 figure-level timings.
 """
 
@@ -13,10 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cache.fast_engine import analyze_trace, simulate_trace, warm_adjust
 from repro.cache.geometry import CacheGeometry
-from repro.cache.lru_kernel import LRUState, load_kernel, run_budget
-from repro.cache.memo import TraceMemo, execute_trace, trace_fingerprint
+from repro.cache.lru_kernel import LRUState, load_kernel, run_budget, run_trace
 from repro.cache.sa_cache import SetAssociativeCache
 
 GEOMETRY = CacheGeometry(8192, 2, 32)
@@ -29,41 +26,14 @@ def _trace(n: int = 100_000, spread: int = 2048):
     return lines, writes
 
 
-def test_vectorized_kernel_throughput(benchmark):
+def test_trace_kernel_throughput(benchmark):
+    if load_kernel() is None:
+        pytest.skip("no C compiler: the kernel cannot be built")
     lines, writes = _trace()
+    extra = np.zeros(len(lines), dtype=np.int64)
 
     def run():
-        return simulate_trace(
-            lines, writes, GEOMETRY.num_sets, GEOMETRY.associativity
-        )
-
-    run_result = benchmark(run)
-    assert run_result.hits + run_result.misses == len(lines)
-
-
-def test_warm_adjust_throughput(benchmark):
-    lines, writes = _trace()
-    analysis = analyze_trace(
-        lines, writes, GEOMETRY.num_sets, GEOMETRY.associativity
-    )
-    warm = SetAssociativeCache(GEOMETRY)
-    warm.run_trace(np.arange(512, dtype=np.int64))
-    warm_sets, warm_dirty = warm.state_view()
-
-    counters, _ = benchmark(warm_adjust, analysis, warm_sets, warm_dirty)
-    assert counters[0] + counters[1] == len(lines)
-
-
-def test_memoized_execute_trace_throughput(benchmark):
-    lines, writes = _trace()
-    fingerprint = trace_fingerprint(lines, writes)
-    memo = TraceMemo()
-    seed_cache = SetAssociativeCache(GEOMETRY)
-    execute_trace(seed_cache, lines, writes, fingerprint, memo)  # warm the memo
-
-    def run():
-        cache = SetAssociativeCache(GEOMETRY)
-        return execute_trace(cache, lines, writes, fingerprint, memo)
+        return run_trace(LRUState(GEOMETRY), lines, writes, extra)
 
     hits, misses = benchmark(run)
     assert hits + misses == len(lines)

@@ -7,17 +7,20 @@ Usage::
         [--baseline BENCH_PR5.json] [--tolerance 0.20]
 
 Compares the fresh bench run's ``figure7.cold_seconds`` against the
-committed baseline, normalized by relative machine speed (the scalar
-cache kernel's accesses/second is the yardstick: a machine that runs the
-scalar kernel at half the baseline's speed is allowed twice the
-wall-clock).  A fresh run more than ``tolerance`` slower than the
-normalized baseline fails with exit code 1.
+committed baseline, normalized by relative machine speed.  The yardstick
+is whole-trace throughput on the ``random`` trace, as the geometric mean
+of two ratios: the scalar oracle's (pure-Python driver work) and the
+compiled LRU kernel's (the simulator's fast path).  A machine that runs
+both at half the baseline's speed is allowed twice the wall-clock.  A
+fresh run more than ``tolerance`` slower than the normalized baseline
+fails with exit code 1.  Both files need a ``kernel_mps`` figure: a
+baseline recorded before whole traces ran on the kernel, or a run on a
+machine without a C compiler, is rejected with a message.
 
 When BOTH files carry a ``contention`` section, the contention-charging
 overhead ratios (contended wall-clock / uncontended wall-clock, already
 machine-independent) are gated with the same tolerance.  A baseline
-predating the contention axis is simply skipped, so the committed
-BENCH_PR5.json stays valid.
+predating the contention axis is simply skipped.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("fresh", help="bench JSON produced by this CI run")
     parser.add_argument(
-        "--baseline", default="BENCH_PR5.json",
+        "--baseline", default="BENCH_PR13.json",
         help="committed reference bench JSON",
     )
     parser.add_argument(
@@ -95,18 +98,32 @@ def main(argv: list[str] | None = None) -> int:
         base_cold = float(base_fig["cold_seconds"])
         fresh_kernels = fresh["cache_kernels"]["random"]
         base_kernels = baseline["cache_kernels"]["random"]
-        # figure7 mixes pure-Python driver work with vectorized kernels,
-        # so normalize by the geometric mean of both throughput ratios.
+    except (KeyError, TypeError) as exc:
+        sys.exit(f"bench results missing expected fields: {exc!r}")
+    for label, path, kernels in (
+        ("baseline", args.baseline, base_kernels),
+        ("fresh", args.fresh, fresh_kernels),
+    ):
+        if kernels.get("kernel_mps") is None:
+            sys.exit(
+                f"{label} bench {path} has no cache_kernels.random.kernel_mps: "
+                "the machine normalization needs whole-trace throughput of "
+                "the compiled LRU kernel (record the baseline with a current "
+                "`repro bench` on a machine with a C compiler)"
+            )
+    try:
+        # figure7 mixes pure-Python driver work with the compiled
+        # kernel, so normalize by the geometric mean of both ratios.
         scalar_ratio = float(base_kernels["scalar_mps"]) / float(
             fresh_kernels["scalar_mps"]
         )
-        vector_ratio = float(base_kernels["vectorized_mps"]) / float(
-            fresh_kernels["vectorized_mps"]
+        kernel_ratio = float(base_kernels["kernel_mps"]) / float(
+            fresh_kernels["kernel_mps"]
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         sys.exit(f"bench results missing expected fields: {exc!r}")
 
-    machine_factor = (scalar_ratio * vector_ratio) ** 0.5
+    machine_factor = (scalar_ratio * kernel_ratio) ** 0.5
     limit = base_cold * machine_factor * (1.0 + args.tolerance)
     verdict = "OK" if fresh_cold <= limit else "REGRESSION"
     print(

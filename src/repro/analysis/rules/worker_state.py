@@ -35,7 +35,6 @@ _MUTABLE_CONSTRUCTORS = frozenset(
         "Counter",
         "ChainMap",
         "BoundedDict",
-        "TraceMemo",
         "Registry",
     }
 )

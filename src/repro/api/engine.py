@@ -85,20 +85,19 @@ def _pool_worker_init(
     memo_dir: str | None,
     memo_mode: str,
     fast_cache: bool,
-    trace_memo: bool,
     fault_plan: str | None,
 ) -> None:
     """Align a fresh pool worker with the parent's tuning state.
 
     Fork workers inherit it anyway; with the spawn start method (or
     after the parent reconfigured mid-session) this keeps the persistent
-    memo store (directory *and* access mode), the engine toggles, and
+    memo store (directory *and* access mode), the fast-cache toggle, and
     the active fault-injection plan consistent across the fleet.
     """
     import os as _os
     import signal as _signal
 
-    from repro.cache.memo import set_fast_cache, set_trace_memo
+    from repro.cache.memo import set_fast_cache
     from repro.cache.store import active_memo_store, configure_memo_store
     from repro.util.faults import PLAN_ENV
 
@@ -115,7 +114,6 @@ def _pool_worker_init(
         _signal.signal(_signal.SIGINT, _signal.SIG_DFL)
 
     set_fast_cache(fast_cache)
-    set_trace_memo(trace_memo)
     if fault_plan:
         _os.environ[PLAN_ENV] = fault_plan
     else:
@@ -130,7 +128,7 @@ def _pool_worker_init(
 def _pool_init_args() -> tuple[object, ...]:
     import os as _os
 
-    from repro.cache.memo import fast_cache_enabled, trace_memo_enabled
+    from repro.cache.memo import fast_cache_enabled
     from repro.cache.store import active_memo_store
     from repro.util.faults import PLAN_ENV
 
@@ -139,7 +137,6 @@ def _pool_init_args() -> tuple[object, ...]:
         str(store.root) if store is not None else None,
         store.mode if store is not None else "rw",
         fast_cache_enabled(),
-        trace_memo_enabled(),
         _os.environ.get(PLAN_ENV),
     )
 

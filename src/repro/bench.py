@@ -1,19 +1,19 @@
 """Microbenchmarks for the simulation hot path (``python -m repro bench``).
 
-Times the cache kernels (scalar reference, vectorized engine, memoized
-execution), the preemptive budget loop (compiled LRU kernel against its
-scalar oracle), the contention axis's overhead on that loop, one
-figure-7 concurrent mix end to end with the fast engine enabled and
-disabled, a cold/warm multi-job figure-7
-campaign against the persistent memo store, and the open-system smoke's
+Times whole-trace execution (compiled LRU kernel against its scalar
+oracle), the preemptive budget loop (the same pair, quantum by
+quantum), the contention axis's overhead on that loop, one figure-7
+concurrent mix end to end with the fast cache enabled and disabled, a
+cold/warm multi-job figure-7 campaign against the persistent memo
+store, and the open-system smoke's
 warm-start behaviour — then writes the results as JSON (default
 ``BENCH_PR5.json``) so the performance trajectory is tracked from PR 2
 onward.  ``--quick`` shrinks every workload to CI-smoke size.
 
 All numbers are wall-clock seconds (best of ``repeats``) or derived
-accesses/second; the JSON also embeds the memo hit statistics of the
-figure run, so a regression in raw kernel speed, memo effectiveness, or
-the campaign path shows up in the artifact.
+accesses/second, so a regression in raw kernel speed, the simulator's
+driver loops, or the campaign path shows up in the artifact.  Kernel
+figures are None when no C compiler is available.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cache.fast_engine import analyze_trace, simulate_trace, warm_adjust
 from repro.cache.geometry import CacheGeometry
-from repro.cache.lru_kernel import LRUState, load_kernel, run_budget
-from repro.cache.memo import TRACE_MEMO, set_fast_cache, set_trace_memo
+from repro.cache.lru_kernel import LRUState, load_kernel, run_budget, run_trace
+from repro.cache.memo import set_fast_cache
 from repro.cache.sa_cache import SetAssociativeCache
 
 #: Wall-clock figure-7 time of the pre-PR scalar implementation,
@@ -59,7 +58,7 @@ def _best(fn, repeats: int = 3) -> float:
 
 
 def _bench_kernels(quick: bool) -> dict:
-    """Scalar vs vectorized vs memoized whole-trace execution."""
+    """Whole-trace execution: compiled kernel vs scalar oracle."""
     geometry = CacheGeometry(8192, 2, 32)
     n = 20_000 if quick else 200_000
     rng = np.random.default_rng(7)
@@ -75,36 +74,26 @@ def _bench_kernels(quick: bool) -> dict:
         ),
     ):
         writes = rng.random(n) < 0.2
+        extra = np.zeros(n, dtype=np.int64)
 
         def scalar():
             SetAssociativeCache(geometry).run_trace(lines, writes)
 
-        def vectorized():
-            simulate_trace(
-                lines, writes, geometry.num_sets, geometry.associativity
-            )
-
-        analysis = analyze_trace(
-            lines, writes, geometry.num_sets, geometry.associativity
-        )
-        warm = SetAssociativeCache(geometry)
-        warm.run_trace(rng.integers(0, 4096, size=512).astype(np.int64))
-        warm_sets, warm_dirty = warm.state_view()
-
-        def adjusted():
-            warm_adjust(analysis, warm_sets, warm_dirty)
+        def kernel():
+            run_trace(LRUState(geometry), lines, writes, extra)
 
         scalar_s = _best(scalar)
-        vector_s = _best(vectorized)
-        adjust_s = _best(adjusted)
-        results[label] = {
+        row = {
             "accesses": n,
             "scalar_mps": round(n / scalar_s / 1e6, 2),
-            "vectorized_mps": round(n / vector_s / 1e6, 2),
-            "memo_adjust_mps": round(n / adjust_s / 1e6, 2),
-            "vectorized_speedup": round(scalar_s / vector_s, 2),
-            "memo_adjust_speedup": round(scalar_s / adjust_s, 1),
+            "kernel_mps": None,
+            "kernel_speedup": None,
         }
+        if load_kernel() is not None:
+            kernel_s = _best(kernel)
+            row["kernel_mps"] = round(n / kernel_s / 1e6, 2)
+            row["kernel_speedup"] = round(scalar_s / kernel_s, 1)
+        results[label] = row
     return results
 
 
@@ -187,7 +176,7 @@ def _bench_contention(quick: bool) -> dict:
 
 
 def _bench_figure7(quick: bool) -> dict:
-    """Figure 7 end to end, fast engine on vs off (scalar reference)."""
+    """Figure 7 end to end, fast cache on vs off (scalar reference)."""
     from repro.cache.store import active_memo_store, configure_memo_store
     from repro.campaign.executor import clear_cell_memo
     from repro.experiments.figure7 import run_figure7
@@ -205,29 +194,25 @@ def _bench_figure7(quick: bool) -> dict:
     # what the headline speedup is measured on.  It also warms the
     # one-time state both engines share (workload graphs, iteration
     # spaces, data sets, traces); the subsequent passes then start with
-    # cold trace/cell memos but warm workloads, so the fast-vs-scalar
+    # a cold cell memo but warm workloads, so the fast-vs-scalar
     # comparison isolates trace execution.
     start = time.perf_counter()
     run_figure7(max_tasks=max_tasks)
     cold_s = time.perf_counter() - start
 
-    TRACE_MEMO.clear()
     clear_cell_memo()
     start = time.perf_counter()
     run_figure7(max_tasks=max_tasks)
     fast_s = time.perf_counter() - start
-    memo_stats = TRACE_MEMO.stats()
 
     clear_cell_memo()
     previous = set_fast_cache(False)
-    set_trace_memo(False)
     try:
         start = time.perf_counter()
         run_figure7(max_tasks=max_tasks)
         scalar_s = time.perf_counter() - start
     finally:
         set_fast_cache(previous)
-        set_trace_memo(True)
         if previous_store is not None:
             configure_memo_store(previous_store.root, mode=previous_store.mode)
     result = {
@@ -236,7 +221,6 @@ def _bench_figure7(quick: bool) -> dict:
         "warm_workloads_seconds": round(fast_s, 3),
         "scalar_engine_seconds": round(scalar_s, 3),
         "engine_speedup": round(scalar_s / fast_s, 2),
-        "trace_memo": memo_stats,
     }
     if not quick:
         result["pre_pr_baseline_seconds"] = PRE_ENGINE_FIGURE7_SECONDS
@@ -278,8 +262,8 @@ def _bench_campaign_jobs(quick: bool) -> dict:
 
     ``figure7-cold-with-jobs``: every run is a cold *process* (the "N
     worker cold starts" the store exists to amortize).  The first run
-    also starts from an empty store; the second reads the analyses and
-    seed-invariant cells the first persisted.  Both compare against the
+    also starts from an empty store; the second reads the sharing
+    matrices and seed-invariant cells the first persisted.  Both compare against the
     pre-PR-5 wall-clock pinned in
     :data:`PRE_PR5_FIGURE7_JOBS4_SECONDS`.
     """
@@ -320,8 +304,8 @@ def _bench_open_system_memo(quick: bool) -> dict:
     """Warm-start behaviour of ``repro open-system --smoke``.
 
     Two cold-process invocations sharing one persistent memo directory;
-    the second skips every trace analysis (and the campaign's
-    seed-invariant cells) via the store.  The result store lives in the
+    the second reads the sharing matrices (and the campaign's
+    seed-invariant cells) from the store.  The result store lives in the
     same scratch directory so the runs never touch ``.repro-campaign``.
     """
     memo_dir = tempfile.mkdtemp(prefix="repro-bench-osys-")
@@ -378,18 +362,12 @@ def render_bench(results: dict) -> str:
     for label, row in kernels.items():
         lines.append(
             f"  {label:7s} scalar {row['scalar_mps']:6.2f} M acc/s | "
-            f"vectorized {row['vectorized_mps']:6.2f} M acc/s | "
-            f"memo-adjust {row['memo_adjust_mps']:8.2f} M acc/s"
+            f"{_kernel_summary(row)}"
         )
     budget = results["budget_loop"]
-    kernel = (
-        f"kernel {budget['kernel_mps']:6.2f} M acc/s "
-        f"({budget['kernel_speedup']}x)"
-        if budget["kernel_mps"] is not None
-        else "kernel unavailable (no C compiler)"
-    )
     lines.append(
-        f"  budget  oracle {budget['oracle_mps']:6.2f} M acc/s | {kernel}"
+        f"  budget  oracle {budget['oracle_mps']:6.2f} M acc/s | "
+        f"{_kernel_summary(budget)}"
     )
     contention = results["contention"]
     lines.append(
@@ -430,3 +408,9 @@ def render_bench(results: dict) -> str:
         f"({osys['warm_speedup']}x)"
     )
     return "\n".join(lines)
+
+
+def _kernel_summary(row: dict) -> str:
+    if row["kernel_mps"] is None:
+        return "kernel unavailable (no C compiler)"
+    return f"kernel {row['kernel_mps']:6.2f} M acc/s ({row['kernel_speedup']}x)"

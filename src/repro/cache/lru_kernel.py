@@ -1,12 +1,15 @@
-"""The compiled true-LRU kernel behind the preemptive (RRS) driver.
+"""The compiled true-LRU kernel behind every simulator driver.
 
-Round-robin scheduling replays each process in quantum-sized slices on
-whichever core frees up, so its cache behaviour has to be simulated
-access by access.  :func:`run_budget` does that in C (``_lru.c``, about
+Every process's cache behaviour is simulated access by access on its
+core's cache.  :func:`run_budget` does that in C (``_lru.c``, about
 forty lines) on a per-cache :class:`LRUState` of packed NumPy arrays,
 reading a trace's ``lines``, ``writes`` and ``extra_cycles`` arrays in
-place.  Counters, stop index and end state equal the scalar oracle,
-:meth:`SetAssociativeCache.run_budget_rows`, bit for bit.
+place.  The preemptive (RRS) driver runs each quantum through it; the
+static and dynamic drivers run each whole trace through
+:func:`run_trace`, the same entry point with an unbounded budget.
+Counters, stop index and end state equal the scalar oracles,
+:meth:`SetAssociativeCache.run_budget_rows` and
+:meth:`SetAssociativeCache.run_trace`, bit for bit.
 
 The library is compiled with ``cc`` on first use — never at import —
 and cached in this package's ``__pycache__`` under a name hashed from
@@ -36,8 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.cache.fast_engine import CacheState
 from repro.cache.geometry import CacheGeometry
+from repro.cache.sa_cache import CacheState
 from repro.cache.stats import CacheStats
 from repro.errors import SimulationError, ValidationError
 from repro.util.faults import fault_point
@@ -51,6 +54,8 @@ _PYCACHE = Path(__file__).with_name("__pycache__")
 _P = ctypes.c_void_p
 _I = ctypes.c_int64
 _ARGTYPES = (_P, _P, _P, _I, _I, _P, _P, _P, _I, _I, _I, _I, _I, _P)
+#: A budget no trace can spend: :func:`run_trace` runs to the end.
+_UNBOUNDED = 2**63 - 1
 
 #: Empty until the first :func:`load_kernel`, then holds its result.
 _kernel: list[Callable[..., None] | None] = []
@@ -257,6 +262,21 @@ def run_budget(
     stats.write_misses += write_misses
     stats.dirty_evictions += evictions
     return next_index, used, hits, misses, write_hits, write_misses, evictions
+
+
+def run_trace(
+    state: LRUState,
+    lines: np.ndarray,
+    writes: np.ndarray,
+    extra_cycles: np.ndarray,
+) -> tuple[int, int]:
+    """Run a whole trace on ``state``; returns ``(hits, misses)``.
+
+    :func:`run_budget` from index 0 with a budget that never runs out.
+    The statistics and end state equal :meth:`SetAssociativeCache.run_trace`.
+    """
+    result = run_budget(state, lines, writes, extra_cycles, 0, 0, 0, _UNBOUNDED)
+    return result[2], result[3]
 
 
 def _address(array: np.ndarray) -> int:

@@ -5,8 +5,12 @@ state only (no data), with true-LRU replacement and optional dirty-line
 tracking for write-back statistics.  Two trace-execution entry points are
 provided: :meth:`run_trace` (run to completion — the non-preemptive
 schedulers' path) and :meth:`run_budget_rows` (run until a cycle budget
-is exhausted — the round-robin scheduler's preemption path, and the
-oracle of the compiled kernel in :mod:`repro.cache.lru_kernel`).
+is exhausted — the round-robin scheduler's preemption path).  Both are
+the oracles of the compiled kernel in :mod:`repro.cache.lru_kernel`
+(its :func:`~repro.cache.lru_kernel.run_trace` and
+:func:`~repro.cache.lru_kernel.run_budget`) and the drivers' fallback
+when the kernel is off or cannot be built.  :class:`CacheState` is the
+snapshot both sides export, so their tag states compare exactly.
 
 The cache deliberately has **no** flush-on-context-switch: cache contents
 surviving from the previously scheduled process on the same core is
@@ -15,14 +19,31 @@ exactly the reuse the paper's scheduler exploits.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from repro.cache.fast_engine import CacheState
 from repro.cache.geometry import CacheGeometry
 from repro.cache.stats import CacheStats
 from repro.errors import ValidationError
+
+
+@dataclass(frozen=True)
+class CacheState:
+    """Immutable snapshot of a cache's tag state.
+
+    ``sets[s]`` lists the resident line numbers of set ``s`` in MRU-first
+    order; ``dirty`` holds the line numbers with pending write-backs.
+    """
+
+    sets: tuple[tuple[int, ...], ...]
+    dirty: frozenset[int] = frozenset()
+
+    @property
+    def num_sets(self) -> int:
+        """Number of cache sets in the snapshot."""
+        return len(self.sets)
 
 
 class SetAssociativeCache:
@@ -38,12 +59,8 @@ class SetAssociativeCache:
         # parameters), so set selection is a mask — measurably cheaper
         # than % in the per-access loops.
         self._set_mask = geometry.num_sets - 1
-        # One MRU-first list of resident line numbers per set.  After
-        # load_state the inner sequences are shared immutable tuples
-        # (copy-on-write); _materialize() turns them back into lists
-        # before any scalar mutation.
-        self._sets: list = [[] for _ in range(self._num_sets)]
-        self._sets_shared = False
+        # One MRU-first list of resident line numbers per set.
+        self._sets: list[list[int]] = [[] for _ in range(self._num_sets)]
         self._dirty: set[int] = set()
         self.stats = CacheStats()
 
@@ -55,21 +72,13 @@ class SetAssociativeCache:
     def reset(self) -> None:
         """Invalidate all lines and zero the statistics."""
         self._sets = [[] for _ in range(self._num_sets)]
-        self._sets_shared = False
         self._dirty = set()
         self.stats = CacheStats()
 
     def flush(self) -> None:
         """Invalidate all lines, keeping the statistics."""
         self._sets = [[] for _ in range(self._num_sets)]
-        self._sets_shared = False
         self._dirty = set()
-
-    def _materialize(self) -> None:
-        """Turn shared snapshot tuples back into mutable per-set lists."""
-        if self._sets_shared:
-            self._sets = list(map(list, self._sets))
-            self._sets_shared = False
 
     # -- inspection -----------------------------------------------------------
 
@@ -92,7 +101,7 @@ class SetAssociativeCache:
             )
         return len(self._sets[set_index])
 
-    # -- state snapshots (vectorized engine / memoization interop) -------------
+    # -- state snapshots ---------------------------------------------------------
 
     def export_state(self) -> CacheState:
         """An immutable snapshot of the tag state (statistics excluded)."""
@@ -102,27 +111,13 @@ class SetAssociativeCache:
         )
 
     def load_state(self, state: CacheState) -> None:
-        """Install a snapshot, replacing the tag state (statistics kept).
-
-        The snapshot's per-set tuples are installed as-is (copy-on-write:
-        any later scalar mutation materializes lists first), so chained
-        engine executions never copy way lists.
-        """
+        """Install a snapshot, replacing the tag state (statistics kept)."""
         if state.num_sets != self._num_sets:
             raise ValidationError(
                 f"state has {state.num_sets} sets, cache has {self._num_sets}"
             )
-        self._sets = list(state.sets)
-        self._sets_shared = True
+        self._sets = [list(ways) for ways in state.sets]
         self._dirty = set(state.dirty)
-
-    def state_view(self) -> tuple[list, set[int]]:
-        """A zero-copy read-only view of (per-set MRU lists, dirty set).
-
-        For the engine glue in :mod:`repro.cache.memo`, which only reads;
-        anyone else should take :meth:`export_state` snapshots.
-        """
-        return self._sets, self._dirty
 
     # -- single access ---------------------------------------------------------
 
@@ -134,7 +129,6 @@ class SetAssociativeCache:
         """Access a line number directly; returns True on hit."""
         if line < 0:
             raise ValidationError(f"negative line number {line}")
-        self._materialize()
         ways = self._sets[line & self._set_mask]
         stats = self.stats
         if line in ways:
@@ -167,10 +161,10 @@ class SetAssociativeCache:
         """Run a whole line-number trace; returns ``(hits, misses)``.
 
         ``writes`` is an optional parallel bool array marking stores.  This
-        is the hot path for non-preemptive process execution, so the loop
-        body is kept minimal.
+        is the whole-trace oracle of the compiled kernel and the
+        non-preemptive drivers' fallback, so the loop body is kept
+        minimal.
         """
-        self._materialize()
         sets = self._sets
         set_mask = self._set_mask
         assoc = self._assoc
@@ -255,7 +249,6 @@ class SetAssociativeCache:
             raise ValidationError(f"start index {start} out of range")
         if budget <= 0:
             raise ValidationError(f"budget must be positive, got {budget}")
-        self._materialize()
         sets = self._sets
         set_mask = self._set_mask
         assoc = self._assoc

@@ -1,15 +1,13 @@
 """Persistent, cross-process memo store for expensive analysis results.
 
-The in-process memos (:data:`repro.cache.memo.TRACE_MEMO` and the
-campaign executor's seed-invariant cell memo) die with their process, so
-``repro campaign --jobs N`` pays N cold starts and every fresh
-``repro open-system`` invocation re-analyzes identical traces.  This
-module adds the shared substrate underneath both: an SQLite database
-holding
+The in-process memos (the campaign executor's seed-invariant cell memo
+and the sharing-matrix memo) die with their process, so ``repro
+campaign --jobs N`` pays N cold starts and every fresh ``repro
+open-system`` invocation recomputes identical cells.  This module adds
+the shared substrate underneath them: an SQLite database holding
 
-- **trace analyses** — pickled :class:`~repro.cache.fast_engine.TraceAnalysis`
-  records keyed by ``(num_sets, associativity, trace fingerprint)``, the
-  exact key of the in-RAM memo; and
+- **sharing matrices** — pickled ``(pids, matrix)`` pairs keyed by the
+  workload's content fingerprint; and
 - **seed-invariant campaign cells** — the JSON payload of a
   :class:`~repro.campaign.executor.RunResult`, keyed by the cell's
   seed-independent identity fingerprint.
@@ -49,16 +47,14 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-    from repro.cache.fast_engine import TraceAnalysis
-
 from repro.errors import MemoStoreError
 from repro.util.faults import fault_point
 from repro.util.invalidation import bump_worker_state_epoch, register_worker_state
 
-#: Bump whenever the persisted value layout changes (pickled
-#: TraceAnalysis fields, RunResult schema): mismatched stores are
-#: dropped (rw) or ignored (ro) rather than trusted.
-STORE_VERSION = "v2"
+#: Bump whenever the persisted value layout changes (a value kind added
+#: or removed, RunResult schema): mismatched stores are dropped (rw) or
+#: ignored (ro) rather than trusted.
+STORE_VERSION = "v3"
 
 #: Database file name inside the memo directory.
 DB_NAME = "memo.sqlite"
@@ -316,35 +312,6 @@ class MemoStore:
             conn.commit()
         except sqlite3.Error:
             pass  # a contended/failed write is just a future memo miss
-
-    # -- trace analyses ------------------------------------------------------
-
-    @staticmethod
-    def analysis_key(num_sets: int, assoc: int, fingerprint: bytes) -> str:
-        """The store key mirroring the in-RAM memo's tuple key."""
-        return f"{num_sets}/{assoc}/{fingerprint.hex()}"
-
-    def get_analysis(
-        self, num_sets: int, assoc: int, fingerprint: bytes
-    ) -> "TraceAnalysis | None":
-        """Fetch a persisted :class:`TraceAnalysis`, or None."""
-        blob = self._get("analysis", self.analysis_key(num_sets, assoc, fingerprint))
-        if blob is None:
-            return None
-        try:
-            return pickle.loads(blob)
-        except Exception:  # corrupt row: treat as a miss
-            return None
-
-    def put_analysis(
-        self, num_sets: int, assoc: int, fingerprint: bytes, analysis: "TraceAnalysis"
-    ) -> None:
-        """Persist a :class:`TraceAnalysis` (idempotent)."""
-        self._put(
-            "analysis",
-            self.analysis_key(num_sets, assoc, fingerprint),
-            pickle.dumps(analysis, protocol=pickle.HIGHEST_PROTOCOL),
-        )
 
     # -- sharing matrices ----------------------------------------------------
 

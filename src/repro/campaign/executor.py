@@ -76,7 +76,7 @@ class RunResult:
     #: Open-system metrics (response times, slowdown, throughput) for
     #: cells run with an ArrivalSpec; None for closed cells.
     open: dict[str, float] | None = None
-    #: Set when the cell's batched/vectorized path raised and the scalar
+    #: Set when the cell's compiled-kernel path raised and the scalar
     #: oracle re-ran it ("<ErrorType>: message"); None on the fast path.
     downgraded: str | None = None
 
@@ -235,8 +235,8 @@ def _adopt_cached(run: RunSpec, cached: "RunResult") -> "RunResult":
 def execute_run(run: RunSpec) -> RunResult:
     """Execute one cell; pure function of the spec (workers call this).
 
-    A cell whose fast path (compiled LRU kernel, vectorized engine)
-    raises is transparently re-run under the pure scalar oracle —
+    A cell whose fast path (the compiled LRU kernel) raises is
+    transparently re-run under the pure scalar oracle —
     bit-identical by construction — and the result carries the
     downgrade note, so one faulty fast path degrades one cell's speed,
     never a campaign.

@@ -49,8 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
         subparser.add_argument(
             "--memo-dir", type=str, default=None, dest="memo_dir",
             help=(
-                "attach a persistent cross-process memo store (trace "
-                "analyses + seed-invariant cells); also via REPRO_MEMO_DIR"
+                "attach a persistent cross-process memo store (sharing "
+                "matrices + seed-invariant cells); also via REPRO_MEMO_DIR"
             ),
         )
 
@@ -687,7 +687,6 @@ def _run_memo_command(args: argparse.Namespace) -> int:
     print(f"persistent memo store: {stats['path']}")
     print(f"  schema version: {stats['version']}")
     print(f"  size: {stats['size_bytes'] / 1024:.1f} KiB")
-    print(f"  trace analyses: {entries.get('analysis', 0)}")
     print(f"  sharing matrices: {entries.get('sharing', 0)}")
     print(f"  seed-invariant cells: {entries.get('cell', 0)}")
     if stats["health"]["status"] != "ok":

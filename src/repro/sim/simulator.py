@@ -56,8 +56,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 
-from repro.cache.lru_kernel import LRUState, load_kernel, run_budget
-from repro.cache.memo import execute_trace, fast_cache_enabled
+from repro.cache.lru_kernel import LRUState, load_kernel, run_budget, run_trace
+from repro.cache.memo import fast_cache_enabled
 from repro.cache.miss_classifier import MissClassifier
 from repro.cache.sa_cache import SetAssociativeCache
 from repro.errors import (
@@ -85,6 +85,20 @@ from repro.sim.trace import ProcessTrace, build_trace
 #: layer list changes.  Until then its traced runs count kernel time in
 #: ``sim.simulator.self_s``.
 compile_quantum_plan = run_plan_quantum = None
+
+
+def execute_trace(
+    cache: LRUState | SetAssociativeCache, trace: ProcessTrace
+) -> tuple[int, int]:
+    """Run a process's whole trace on its core's cache; ``(hits, misses)``.
+
+    The static and dynamic drivers call this once per dispatch: the
+    compiled kernel for :class:`LRUState` caches, the scalar oracle
+    otherwise.  Both update the cache's statistics and tag state alike.
+    """
+    if isinstance(cache, LRUState):
+        return run_trace(cache, trace.lines, trace.writes, trace.extra_cycles)
+    return cache.run_trace(trace.lines, trace.writes)
 
 
 class MPSoCSimulator:
@@ -231,20 +245,13 @@ class MPSoCSimulator:
 
     def _run_whole_trace(
         self,
-        cache: SetAssociativeCache,
+        cache: LRUState | SetAssociativeCache,
         classifier: MissClassifier | None,
         trace: ProcessTrace,
     ) -> tuple[int, int]:
         """Run a full trace; slow per-access path only when classifying."""
         if classifier is None:
-            if fast_cache_enabled():
-                return execute_trace(
-                    cache,
-                    trace.lines,
-                    trace.writes,
-                    fingerprint=trace.fingerprint(),
-                )
-            return cache.run_trace(trace.lines, trace.writes)
+            return execute_trace(cache, trace)
         hits = 0
         misses = 0
         for line, is_write in zip(trace.lines.tolist(), trace.writes.tolist()):
@@ -258,17 +265,24 @@ class MPSoCSimulator:
 
     def _make_caches(
         self,
-    ) -> tuple[list[SetAssociativeCache], list[MissClassifier] | None]:
+    ) -> tuple[
+        list[LRUState] | list[SetAssociativeCache], list[MissClassifier] | None
+    ]:
+        """Per-core caches, plus classifiers when misses are classified.
+
+        Traces run on the compiled LRU kernel unless the fast cache is
+        off, the kernel cannot be built, or misses are classified (that
+        needs the per-access path); then the scalar oracle runs instead,
+        with identical results.
+        """
         config = self._config
-        caches = [
-            SetAssociativeCache(config.geometry_for(core))
-            for core in range(config.num_cores)
-        ]
+        geometries = [config.geometry_for(core) for core in range(config.num_cores)]
         if config.classify_misses:
-            classifiers = [MissClassifier(cache.geometry) for cache in caches]
-        else:
-            classifiers = None
-        return caches, classifiers
+            caches = [SetAssociativeCache(geometry) for geometry in geometries]
+            return caches, [MissClassifier(geometry) for geometry in geometries]
+        if fast_cache_enabled() and load_kernel() is not None:
+            return [LRUState(geometry) for geometry in geometries], None
+        return [SetAssociativeCache(geometry) for geometry in geometries], None
 
     # -- static driver (LS / LSM) ----------------------------------------------------
 
@@ -528,14 +542,7 @@ class MPSoCSimulator:
         num_cores = self._config.num_cores
         quantum = plan.quantum_cycles
         config = self._config
-        # Every budgeted dispatch runs on the compiled LRU kernel unless
-        # the fast cache is off or the kernel cannot be built; then the
-        # scalar oracle runs instead, with identical results.
-        use_kernel = fast_cache_enabled() and load_kernel() is not None
-        cache_type = LRUState if use_kernel else SetAssociativeCache
-        caches = [
-            cache_type(config.geometry_for(core)) for core in range(num_cores)
-        ]
+        caches, _ = self._make_caches()
         contention = contention_model_for(config)
         queue_delay = [0] * num_cores
         transfers_of = [0] * num_cores
@@ -583,7 +590,7 @@ class MPSoCSimulator:
             trace = traces[pid]
             cache = caches[core]
             evictions_before = cache.stats.dirty_evictions
-            if use_kernel:
+            if isinstance(cache, LRUState):
                 next_index, used, hits, misses, _, _, _ = run_budget(
                     cache,
                     trace.lines,

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.memo import trace_fingerprint
 from repro.errors import ValidationError
 from repro.procgraph.process import Process
 
@@ -57,19 +56,6 @@ class ProcessTrace:
                 f"hits+misses={hits + misses} != accesses={self.num_accesses}"
             )
         return hits * hit_cost + misses * miss_cost + self.total_compute_cycles
-
-    def fingerprint(self) -> bytes:
-        """Digest of the cache-visible content (lines + writes), cached.
-
-        This keys the cross-run execution memo
-        (:mod:`repro.cache.memo`); traces with equal fingerprints behave
-        identically on any cache state.
-        """
-        cached = getattr(self, "_fingerprint", None)
-        if cached is None:
-            cached = trace_fingerprint(self.lines, self.writes)
-            object.__setattr__(self, "_fingerprint", cached)
-        return cached
 
     #: perfbench/tracer.py wraps this name; the compiled LRU kernel reads
     #: the arrays above directly, so no per-trace rows are built.

@@ -32,7 +32,8 @@ Rules are ``<action>@<site>[:<glob>][,param=value]*``:
 - sites — where :func:`fault_point` calls are compiled into the
   production code: ``cell`` (entry of every campaign-cell execution,
   keyed by the cell key), ``kernel`` (entry of every compiled-LRU
-  quantum, key ``"run"``), ``store`` (memo-store connection setup, keyed by
+  kernel call — each RRS quantum and each whole trace of the static
+  and dynamic drivers — key ``"run"``), ``store`` (memo-store connection setup, keyed by
   the database path), and ``serve`` (the campaign service's request
   and event paths, keyed ``request:<op>`` / ``event:<kind>`` —
   awaited via :func:`async_fault_point` so sleeps never block the

@@ -1,12 +1,15 @@
 """Conformance of the compiled LRU kernel against the scalar oracle.
 
-The preemptive (RRS) driver runs every quantum on the compiled kernel
-(:mod:`repro.cache.lru_kernel`) and falls back to the scalar oracle,
-:meth:`SetAssociativeCache.run_budget_rows`, when the fast cache is off
-or the kernel cannot be built.  Both must agree bit for bit: same stop
+Every driver runs on the compiled kernel (:mod:`repro.cache.lru_kernel`):
+the preemptive (RRS) driver quantum by quantum through ``run_budget``,
+the static and dynamic drivers whole trace by whole trace through
+``run_trace``.  They fall back to the scalar oracles,
+:meth:`SetAssociativeCache.run_budget_rows` and
+:meth:`SetAssociativeCache.run_trace`, when the fast cache is off or the
+kernel cannot be built.  Both sides must agree bit for bit: same stop
 index, cycle accounting, counters, statistics and end tag state (dirty
-lines included), per quantum and through whole closed and open runs.
-The reference side of every full-run comparison is
+lines included), per call and through whole closed and open runs of
+every driver.  The reference side of every full-run comparison is
 ``set_fast_cache(False)``, the pure oracle.
 """
 
@@ -28,11 +31,14 @@ import repro
 import repro.sim.simulator as simulator_module
 from repro.cache import lru_kernel
 from repro.cache.geometry import CacheGeometry
-from repro.cache.lru_kernel import LRUState, load_kernel, run_budget
+from repro.cache.lru_kernel import LRUState, load_kernel, run_budget, run_trace
 from repro.cache.memo import set_fast_cache
-from repro.cache.sa_cache import SetAssociativeCache
+from repro.cache.sa_cache import CacheState, SetAssociativeCache
 from repro.errors import ValidationError
 from repro.procgraph.graph import ExtendedProcessGraph
+from repro.sched.locality import LocalityScheduler, StaticLocalityScheduler
+from repro.sched.locality_mapping import LocalityMappingScheduler
+from repro.sched.random_sched import RandomScheduler
 from repro.sched.round_robin import RoundRobinScheduler
 from repro.sim.arrivals import AppArrival, ArrivalSchedule
 from repro.sim.config import MachineConfig
@@ -221,6 +227,110 @@ class TestKernelMatchesOracle:
             run_budget(state, trace[0], trace[1][:-1], trace[2], 0, 2, 75, 100)
 
 
+def _assert_whole_trace(state, oracle, lines, writes):
+    extra = np.zeros(len(lines), dtype=np.int64)
+    got = run_trace(state, lines, writes, extra)
+    want = oracle.run_trace(lines, writes)
+    assert got == want
+    assert state.stats == oracle.stats
+    assert state.export_state() == oracle.export_state()
+
+
+class TestWholeTraceMatchesOracle:
+    """``run_trace`` against :meth:`SetAssociativeCache.run_trace`.
+
+    Traces are chained on one kernel state and one oracle cache, so every
+    call after the first starts warm: resident lines, LRU order and dirty
+    flags all carry over from the previous trace.
+    """
+
+    @pytest.mark.parametrize("assoc", [1, 2, 4, 8])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_chained_warm_starts_match_oracle(self, kernel, assoc, seed):
+        rng = np.random.default_rng(5000 * assoc + seed)
+        num_sets = int(rng.choice([1, 4, 16, 64]))
+        geometry = _geometry(num_sets, assoc)
+        span = num_sets * assoc * int(rng.integers(1, 4)) + 1
+        state = LRUState(geometry)
+        oracle = SetAssociativeCache(geometry)
+        for _ in range(int(rng.integers(3, 7))):
+            length = int(rng.integers(0, 1500))
+            lines = rng.integers(0, span, size=length).astype(np.int64)
+            writes = rng.random(length) < float(rng.choice([0.0, 0.3, 1.0]))
+            _assert_whole_trace(state, oracle, lines, writes)
+
+    def test_dirty_evictions_are_counted(self, kernel):
+        # One 2-way set: lines 0 and 1 are written, then 2 and 3 evict
+        # both dirty lines; 4 then evicts the clean line 2.
+        lines = np.array([0, 1, 2, 3, 4], dtype=np.int64)
+        writes = np.array([True, True, False, False, False])
+        state = LRUState(_geometry(1, 2))
+        oracle = SetAssociativeCache(_geometry(1, 2))
+        _assert_whole_trace(state, oracle, lines, writes)
+        assert state.stats.dirty_evictions == 2
+        assert state.stats.write_misses == 2
+
+    def test_empty_trace_keeps_state(self, kernel):
+        rng = np.random.default_rng(3)
+        geometry = _geometry(8, 2)
+        state = LRUState(geometry)
+        run_trace(state, *_random_trace(rng, 100, 40))
+        before = state.export_state()
+        stats = state.stats.snapshot()
+        empty = np.empty(0, dtype=np.int64)
+        assert run_trace(state, empty, np.empty(0, dtype=bool), empty) == (0, 0)
+        assert state.export_state() == before
+        assert state.stats == stats
+
+    def test_exported_state_continues_on_the_oracle(self, kernel):
+        """A kernel snapshot loaded into the oracle runs on identically."""
+        rng = np.random.default_rng(11)
+        geometry = _geometry(16, 4)
+        state = LRUState(geometry)
+        run_trace(state, *_random_trace(rng, 800, 150))
+        snapshot = state.export_state()
+        assert isinstance(snapshot, CacheState)
+        assert snapshot.dirty
+        assert sum(map(len, snapshot.sets)) == int(state.fill.sum())
+        oracle = SetAssociativeCache(geometry)
+        oracle.load_state(snapshot)
+        oracle.stats = state.stats.snapshot()
+        lines, writes, _ = _random_trace(rng, 800, 150)
+        _assert_whole_trace(state, oracle, lines, writes)
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        num_sets=st.sampled_from([1, 2, 4, 8, 16]),
+        assoc=st.sampled_from([1, 2, 4, 8]),
+        data=st.data(),
+    )
+    def test_random_trace_sequences_match_oracle(
+        self, kernel, num_sets, assoc, data
+    ):
+        span = num_sets * assoc * 3
+        geometry = _geometry(num_sets, assoc)
+        state = LRUState(geometry)
+        oracle = SetAssociativeCache(geometry)
+        for _ in range(data.draw(st.integers(1, 4))):
+            length = data.draw(st.integers(0, 150))
+            lines = data.draw(
+                st.lists(st.integers(0, span), min_size=length, max_size=length)
+            )
+            writes = data.draw(
+                st.lists(st.booleans(), min_size=length, max_size=length)
+            )
+            _assert_whole_trace(
+                state,
+                oracle,
+                np.array(lines, dtype=np.int64),
+                np.array(writes, dtype=bool),
+            )
+
+
 def _canon(result):
     return (
         result.makespan_cycles,
@@ -395,6 +505,222 @@ class TestSharedQueueConformance:
             MPSoCSimulator(small_machine).run(_epg(3), RoundRobinScheduler())
         finally:
             set_fast_cache(previous)
+
+
+#: One scheduler per whole-trace driver and policy: LS-static runs the
+#: static driver; LS (the dispatch-time LSD policy), LSM and RS the
+#: dynamic one.
+WHOLE_TRACE_SCHEDULERS = {
+    "LS-static": StaticLocalityScheduler,
+    "LS": LocalityScheduler,
+    "LSM": LocalityMappingScheduler,
+    "RS": lambda: RandomScheduler(seed=3),
+}
+DYNAMIC_SCHEDULERS = ("LS", "LSM", "RS")
+
+
+def _classified(result):
+    return [
+        None if core.classified is None else vars(core.classified)
+        for core in result.cores
+    ]
+
+
+class TestWholeTraceDriverConformance:
+    """Full static and dynamic runs on the kernel equal the pure oracle's."""
+
+    @pytest.mark.parametrize("name", WHOLE_TRACE_SCHEDULERS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_closed_runs_match(self, name, seed, small_machine):
+        epg = _epg(seed + 200)
+        simulator = MPSoCSimulator(small_machine)
+        fast, oracle = kernel_and_oracle(
+            lambda: simulator.run(epg, WHOLE_TRACE_SCHEDULERS[name]())
+        )
+        assert _canon(fast) == _canon(oracle)
+
+    @pytest.mark.parametrize("name", DYNAMIC_SCHEDULERS)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_open_runs_match(self, name, seed, small_machine):
+        epg = _epg(seed + 300)
+        schedule = _random_schedule(epg, seed)
+        simulator = MPSoCSimulator(small_machine)
+        fast, oracle = kernel_and_oracle(
+            lambda: simulator.run_open(
+                epg, WHOLE_TRACE_SCHEDULERS[name](), schedule
+            )
+        )
+        assert _canon(fast) == _canon(oracle)
+
+    @pytest.mark.parametrize("name", WHOLE_TRACE_SCHEDULERS)
+    def test_charge_writebacks_match(self, name):
+        simulator = MPSoCSimulator(_machine(charge_writebacks=True))
+        epg = _epg(43)
+        fast, oracle = kernel_and_oracle(
+            lambda: simulator.run(epg, WHOLE_TRACE_SCHEDULERS[name]())
+        )
+        assert _canon(fast) == _canon(oracle)
+
+    @pytest.mark.parametrize("name", WHOLE_TRACE_SCHEDULERS)
+    def test_heterogeneous_machine_matches(self, name):
+        machine = _machine(
+            core_speeds=(1.0, 0.5),
+            core_cache_sizes=(1024, 2048),
+            core_cache_assocs=(2, 4),
+        )
+        simulator = MPSoCSimulator(machine)
+        epg = _epg(8)
+        fast, oracle = kernel_and_oracle(
+            lambda: simulator.run(epg, WHOLE_TRACE_SCHEDULERS[name]())
+        )
+        assert _canon(fast) == _canon(oracle)
+
+    @pytest.mark.parametrize("assoc", [1, 2, 4, 8])
+    def test_every_associativity_matches(self, assoc):
+        simulator = MPSoCSimulator(_machine(cache_associativity=assoc))
+        epg = _epg(assoc + 70)
+        for name in ("LS-static", "RS"):
+            fast, oracle = kernel_and_oracle(
+                lambda: simulator.run(epg, WHOLE_TRACE_SCHEDULERS[name]())
+            )
+            assert _canon(fast) == _canon(oracle), name
+
+    @pytest.mark.parametrize(
+        "contention, params",
+        [
+            ("bus", (("lines_per_quantum", 2),)),
+            ("noc", (("hop_cycles", 9), ("cluster_size", 1))),
+        ],
+    )
+    @pytest.mark.parametrize("name", WHOLE_TRACE_SCHEDULERS)
+    def test_contention_models_match(self, contention, params, name, small_machine):
+        machine = small_machine.with_overrides(
+            contention=contention, contention_params=params
+        )
+        simulator = MPSoCSimulator(machine)
+        epg = _epg(501)
+        fast, oracle = kernel_and_oracle(
+            lambda: simulator.run(epg, WHOLE_TRACE_SCHEDULERS[name]())
+        )
+        assert _canon(fast) == _canon(oracle)
+        assert any(core.queue_delay_cycles for core in fast.cores)
+
+    @pytest.mark.parametrize("name", ["LS-static", "LS"])
+    def test_fast_path_runs_the_kernel(self, kernel, monkeypatch, name, small_machine):
+        calls = []
+
+        def counting(state, *arrays):
+            calls.append(len(arrays[0]))
+            return run_trace(state, *arrays)
+
+        monkeypatch.setattr(simulator_module, "run_trace", counting)
+        epg = _epg(4)
+        previous = set_fast_cache(True)
+        try:
+            result = MPSoCSimulator(small_machine).run(
+                epg, WHOLE_TRACE_SCHEDULERS[name]()
+            )
+        finally:
+            set_fast_cache(previous)
+        assert len(calls) == len(epg)
+        assert sum(calls) == sum(
+            rec.hits + rec.misses for rec in result.processes.values()
+        )
+
+    def test_fast_cache_off_bypasses_the_kernel(self, monkeypatch, small_machine):
+        def forbidden(*args):
+            raise AssertionError("the kernel ran with the fast cache off")
+
+        monkeypatch.setattr(simulator_module, "run_trace", forbidden)
+        previous = set_fast_cache(False)
+        try:
+            for name in ("LS-static", "LS"):
+                MPSoCSimulator(small_machine).run(
+                    _epg(4), WHOLE_TRACE_SCHEDULERS[name]()
+                )
+        finally:
+            set_fast_cache(previous)
+
+    def test_every_whole_trace_goes_through_execute_trace(
+        self, monkeypatch, small_machine
+    ):
+        """Both paths dispatch through the module-level ``execute_trace``,
+        the one name a profiler wraps to time whole-trace execution."""
+        seen = []
+        original = simulator_module.execute_trace
+
+        def recording(cache, trace):
+            seen.append(trace.pid)
+            return original(cache, trace)
+
+        monkeypatch.setattr(simulator_module, "execute_trace", recording)
+        epg = _epg(5)
+        for fast in (True, False):
+            seen.clear()
+            previous = set_fast_cache(fast)
+            try:
+                MPSoCSimulator(small_machine).run(epg, LocalityScheduler())
+            finally:
+                set_fast_cache(previous)
+            assert sorted(seen) == sorted(epg.pids)
+
+    def test_classify_misses_runs_on_the_oracle(self, monkeypatch, small_machine):
+        def forbidden(*args):
+            raise AssertionError("miss classification needs the per-access path")
+
+        machine = small_machine.with_overrides(classify_misses=True)
+        epg = _epg(6)
+        reference = MPSoCSimulator(small_machine)
+        fast_plain, _ = kernel_and_oracle(
+            lambda: reference.run(epg, LocalityScheduler())
+        )
+        monkeypatch.setattr(simulator_module, "run_trace", forbidden)
+        for name in ("LS-static", "LS"):
+            fast, oracle = kernel_and_oracle(
+                lambda: MPSoCSimulator(machine).run(
+                    epg, WHOLE_TRACE_SCHEDULERS[name]()
+                )
+            )
+            assert _canon(fast) == _canon(oracle)
+            assert _classified(fast) == _classified(oracle)
+            assert all(counts is not None for counts in _classified(fast))
+        # Classifying observes the run without changing it.
+        classified = MPSoCSimulator(machine).run(epg, LocalityScheduler())
+        assert _canon(classified) == _canon(fast_plain)
+
+    def test_memoized_campaign_equals_cold_run(self):
+        """A campaign served by warm memos == the same campaign run cold,
+        and both equal the scalar oracle."""
+        from repro.campaign.executor import clear_cell_memo, run_campaign
+        from repro.campaign.spec import CampaignSpec, MachineVariant
+
+        spec = CampaignSpec(
+            workloads=("MxM", "mix:2"),
+            machines=(MachineVariant(),),
+            seeds=(0, 1),
+            scale=0.25,
+            name="memo-correctness",
+        )
+
+        def snapshot(outcome):
+            return [
+                (r.key, r.seconds, r.makespan_cycles, r.hits, r.misses)
+                for r in outcome.results
+            ]
+
+        clear_cell_memo()
+        cold = snapshot(run_campaign(spec))
+        # Workloads, sharing matrices and seed-invariant cells are now
+        # memoized; a re-run must reproduce the cold results exactly.
+        assert snapshot(run_campaign(spec)) == cold
+        previous = set_fast_cache(False)
+        try:
+            clear_cell_memo()
+            scalar = snapshot(run_campaign(spec))
+        finally:
+            set_fast_cache(previous)
+            clear_cell_memo()
+        assert scalar == cold
 
 
 def _isolate_loader(monkeypatch, tmp_path: Path, pycache: Path) -> Path:

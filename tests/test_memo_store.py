@@ -8,8 +8,6 @@ import sqlite3
 import numpy as np
 import pytest
 
-from repro.cache.fast_engine import analyze_trace
-from repro.cache.memo import TraceMemo, memoized_analysis, trace_fingerprint
 from repro.cache.store import (
     STORE_VERSION,
     MemoStore,
@@ -24,36 +22,13 @@ def store(tmp_path) -> MemoStore:
     return MemoStore(tmp_path / "memo")
 
 
-def _trace(seed: int = 0, n: int = 256):
+def _matrix(seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    lines = rng.integers(0, 128, size=n).astype(np.int64)
-    writes = rng.random(n) < 0.3
-    return lines, writes
-
-
-def _analysis_equal(a, b) -> bool:
-    return (
-        a.num_sets == b.num_sets
-        and a.assoc == b.assoc
-        and a.cold.counters() == b.cold.counters()
-        and a.cold.end_state == b.cold.end_state
-        and a.line_meta == b.line_meta
-        and a.set_counts == b.set_counts
-    )
+    raw = rng.integers(0, 100, size=(4, 4)).astype(np.int64)
+    return raw + raw.T
 
 
 class TestRoundTrips:
-    def test_analysis_roundtrip(self, store):
-        lines, writes = _trace()
-        analysis = analyze_trace(lines, writes, 16, 2)
-        fingerprint = trace_fingerprint(lines, writes)
-        assert store.get_analysis(16, 2, fingerprint) is None
-        store.put_analysis(16, 2, fingerprint, analysis)
-        loaded = store.get_analysis(16, 2, fingerprint)
-        assert loaded is not None and _analysis_equal(loaded, analysis)
-        # The same fingerprint under another geometry is a distinct key.
-        assert store.get_analysis(32, 2, fingerprint) is None
-
     def test_cell_roundtrip(self, store):
         payload = {"key": "a|b", "seconds": 0.25, "hits": 3}
         assert store.get_cell("k1") is None
@@ -74,13 +49,10 @@ class TestRoundTrips:
         assert store.get_cell("k") == {"v": 1}
 
     def test_stats_and_clear(self, store):
-        lines, writes = _trace()
-        store.put_analysis(
-            16, 2, trace_fingerprint(lines, writes), analyze_trace(lines, writes, 16, 2)
-        )
+        store.put_sharing("s", ("a", "b", "c", "d"), _matrix())
         store.put_cell("c", {"v": 1})
         stats = store.stats()
-        assert stats["entries"] == {"analysis": 1, "cell": 1}
+        assert stats["entries"] == {"cell": 1, "sharing": 1}
         assert stats["version"] == STORE_VERSION
         store.clear()
         assert store.counts() == {}
@@ -88,12 +60,10 @@ class TestRoundTrips:
 
 def _writer(root: str, seed: int, barrier) -> None:
     store = MemoStore(root)
-    lines, writes = _trace(0)  # every writer computes the same content
-    analysis = analyze_trace(lines, writes, 16, 2)
-    fingerprint = trace_fingerprint(lines, writes)
+    matrix = _matrix(0)  # every writer computes the same content
     barrier.wait()  # maximize overlap between the racing writers
     for _ in range(50):
-        store.put_analysis(16, 2, fingerprint, analysis)
+        store.put_sharing("shared-matrix", ("a", "b", "c", "d"), matrix)
         store.put_cell("shared-cell", {"writer": seed})
 
 
@@ -112,12 +82,10 @@ class TestConcurrency:
             worker.join(timeout=60)
             assert worker.exitcode == 0
         store = MemoStore(root)
-        assert store.counts() == {"analysis": 1, "cell": 1}
-        lines, writes = _trace(0)
-        fingerprint = trace_fingerprint(lines, writes)
-        loaded = store.get_analysis(16, 2, fingerprint)
-        assert loaded is not None
-        assert _analysis_equal(loaded, analyze_trace(lines, writes, 16, 2))
+        assert store.counts() == {"cell": 1, "sharing": 1}
+        pids, loaded = store.get_sharing("shared-matrix")
+        assert pids == ("a", "b", "c", "d")
+        assert np.array_equal(loaded, _matrix(0))
         # One of two identical-key writers won; either value is valid.
         assert store.get_cell("shared-cell")["writer"] in (1, 2)
 
@@ -165,10 +133,31 @@ class TestModesAndVersioning:
         ro = MemoStore(root, mode="ro")
         assert ro.get_cell("k") is None
 
-    def test_corrupt_analysis_row_reads_as_miss(self, store):
-        key = MemoStore.analysis_key(16, 2, b"\x00" * 16)
-        store._put("analysis", key, b"not a pickle")
-        assert store.get_analysis(16, 2, b"\x00" * 16) is None
+    def test_v2_store_holding_analyses_is_rebuilt(self, tmp_path):
+        """A store written before whole traces ran on the compiled kernel
+        (version v2, with persisted trace analyses) is dropped on a
+        read-write attach and rebuilt empty at the current version."""
+        root = tmp_path / "memo"
+        first = MemoStore(root)
+        first.put_cell("k", {"v": 1})
+        first.close()
+        with sqlite3.connect(root / "memo.sqlite") as conn:
+            conn.execute("UPDATE meta SET value='v2' WHERE key='version'")
+            conn.execute(
+                "INSERT INTO memo VALUES ('analysis', '16/2/00', x'00')"
+            )
+            conn.commit()
+        assert MemoStore(root, mode="ro").counts() == {}  # ignored, not read
+        reopened = MemoStore(root)
+        assert reopened.counts() == {}
+        assert reopened.get_cell("k") is None
+        assert reopened.stats()["version"] == STORE_VERSION == "v3"
+        reopened.put_cell("k", {"v": 2})
+        assert reopened.counts() == {"cell": 1}
+
+    def test_corrupt_sharing_row_reads_as_miss(self, store):
+        store._put("sharing", "s", b"not a pickle")
+        assert store.get_sharing("s") is None
 
 
 class TestProcessWideActivation:
@@ -184,32 +173,35 @@ class TestProcessWideActivation:
                 previous.root if previous is not None else None
             )
 
-    def test_memoized_analysis_uses_store(self, tmp_path):
-        """A fresh in-RAM memo is repopulated from the persistent store."""
+    def test_sharing_matrix_comes_from_store(self, tmp_path, monkeypatch):
+        """A fresh process reads a campaign workload's sharing matrix
+        back from the persistent store instead of recomputing it."""
+        import weakref
+
+        import repro.sharing.matrix as matrix_module
+        from repro.campaign.spec import build_campaign_workload
+
         previous = active_memo_store()
-        lines, writes = _trace(5)
-        fingerprint = trace_fingerprint(lines, writes)
         try:
             configure_memo_store(tmp_path / "memo")
-            first = memoized_analysis(
-                lines, writes, 16, 2, fingerprint, TraceMemo()
+            epg = build_campaign_workload("mix:2", scale=0.25, seed=0)
+            # An empty in-process memo stands in for a fresh process.
+            monkeypatch.setattr(
+                matrix_module, "_MATRIX_CACHE", weakref.WeakKeyDictionary()
             )
-            # New RAM memo (a "new process"): must come from the store,
-            # not a recomputation.
-            import repro.cache.memo as memo_module
+            first = matrix_module.sharing_matrix_for(epg)
+            assert active_memo_store().counts().get("sharing", 0) >= 1
+            monkeypatch.setattr(
+                matrix_module, "_MATRIX_CACHE", weakref.WeakKeyDictionary()
+            )
 
             def boom(*args, **kwargs):
-                raise AssertionError("analysis should come from the store")
+                raise AssertionError("the matrix should come from the store")
 
-            original = memo_module.analyze_trace
-            memo_module.analyze_trace = boom
-            try:
-                second = memoized_analysis(
-                    lines, writes, 16, 2, fingerprint, TraceMemo()
-                )
-            finally:
-                memo_module.analyze_trace = original
-            assert _analysis_equal(first, second)
+            monkeypatch.setattr(matrix_module, "compute_sharing_matrix", boom)
+            second = matrix_module.sharing_matrix_for(epg)
+            assert second.pids == first.pids
+            assert np.array_equal(second.matrix, first.matrix)
         finally:
             configure_memo_store(
                 previous.root if previous is not None else None

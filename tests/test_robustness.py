@@ -229,6 +229,35 @@ class TestGracefulDowngrade:
         fa.pop("downgraded"), fb.pop("downgraded")
         assert fa == fb
 
+    def test_kernel_fault_in_a_whole_trace_cell_downgrades_only_that_cell(
+        self, fault_plan, tmp_path
+    ):
+        """Static and dynamic cells run whole traces on the kernel too: a
+        kernel fault in the first (LS) cell re-runs exactly that cell on
+        the scalar oracle, and every other cell stays on the kernel."""
+        from repro.cache.lru_kernel import load_kernel
+
+        if load_kernel() is None:
+            pytest.skip("no C compiler: the kernel fault site is unreachable")
+        spec = _spec(schedulers=("LS", "RS", "RRS"), seeds=(0,))
+        first = spec.expand()[0].cell_key()
+        assert "|LS|" in first
+        clear_cell_memo()
+        baseline = run_campaign(spec)
+        clear_cell_memo()
+        fault_plan(f"ledger={tmp_path}; error@kernel,times=1")
+        try:
+            faulty = run_campaign(spec)
+        finally:
+            clear_cell_memo()
+        downgraded = {
+            r.key: r.downgraded for r in faulty.results if r.downgraded is not None
+        }
+        assert list(downgraded) == [first]
+        assert "InjectedFaultError" in downgraded[first]
+        assert faulty.downgraded == 1
+        assert _result_dicts(faulty.results) == _result_dicts(baseline.results)
+
     def test_downgrade_note_persists_through_the_store(self, tmp_path):
         from repro.campaign.executor import RunResult
 
@@ -247,19 +276,14 @@ class TestGracefulDowngrade:
         assert "downgraded" not in clean.to_dict()
 
     def test_scalar_fallback_restores_engine_state(self):
-        from repro.cache.memo import (
-            fast_cache_enabled,
-            scalar_fallback,
-            trace_memo_enabled,
-        )
+        from repro.cache.memo import fast_cache_enabled, scalar_fallback
         from repro.util.invalidation import worker_state_epoch
 
-        before = (fast_cache_enabled(), trace_memo_enabled())
+        before = fast_cache_enabled()
         epoch = worker_state_epoch()
         with scalar_fallback():
             assert not fast_cache_enabled()
-            assert trace_memo_enabled() == before[1]
-        assert (fast_cache_enabled(), trace_memo_enabled()) == before
+        assert fast_cache_enabled() == before
         assert worker_state_epoch() == epoch
 
     def test_organic_error_on_scalar_path_still_raises(self, fault_plan, tmp_path):
