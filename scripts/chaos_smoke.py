@@ -8,7 +8,10 @@ Drives the real ``repro campaign`` CLI three times over the same grid:
    crash (recovered by ``--max-retries``), a hung cell (killed by
    ``--cell-timeout``), and a persistent cell error.  Must finish with
    exit code 3, exactly two quarantined cells, and every surviving
-   result identical to the baseline.
+   result identical to the baseline.  A zero-second counting rule on
+   every cell proves that innocents ran once: its ledger tokens (one
+   per execution) must number exactly 11 — 5 clean cells once, plus the
+   crash, hang and error cells twice each (``--max-retries 1``).
 3. **Repair pass** — faults cleared, ``--resume`` re-attempts only the
    quarantined cells.  Must exit 0 and converge the store to the full,
    failure-free grid.
@@ -32,6 +35,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from repro.util.faults import FaultPlan
+
 GRID = [
     "--workloads", "MxM,Shape",
     "--schedulers", "RS,LS",
@@ -44,6 +49,10 @@ GRID = [
 #: The two cells expected to be quarantined by the chaos pass.
 HANG_CELL = ("Shape", "LS", 1)
 ERROR_CELL = ("MxM", "LS", 1)
+
+#: Cell executions the chaos pass may make: 5 clean cells x 1, plus the
+#: crash, hang, and error cells x 2 attempts each.
+CHAOS_EXECUTIONS = 11
 
 
 def run_cli(arguments, env, expect):
@@ -104,8 +113,10 @@ def main() -> int:
             "crash@cell:MxM|*|RS|seed=0*,times=1",
             "hang@cell:Shape|*|LS|seed=1*,seconds=60",
             "error@cell:MxM|*|LS|seed=1*",
+            "delay@cell:*,seconds=0,times=64",
         ]
     )
+    counter = FaultPlan.parse(plan).rules[-1].rule_id()
     clean_env = {
         k: v for k, v in os.environ.items() if k != "REPRO_FAULT_PLAN"
     }
@@ -150,9 +161,15 @@ def main() -> int:
             assert comparable(record) == comparable(baseline[key]), (
                 f"survivor {key} differs from the fault-free baseline"
             )
+        executions = len(list((scratch / "ledger").glob(f"{counter}.*")))
+        assert executions == CHAOS_EXECUTIONS, (
+            f"chaos pass ran {executions} cell executions, expected "
+            f"{CHAOS_EXECUTIONS}: an innocent cell was re-run"
+        )
         print(
             f"chaos pass OK: {len(survivors)} survivors identical, "
-            f"{len(quarantined)} quarantined ({', '.join(kinds)})"
+            f"{len(quarantined)} quarantined ({', '.join(kinds)}), "
+            f"{executions} cell executions"
         )
 
         print("== 3/3 repair pass (faults cleared, --resume) ==")

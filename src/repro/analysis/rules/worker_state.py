@@ -1,14 +1,14 @@
-"""Rules guarding the long-lived worker pool's fork-inherited state.
+"""Rules guarding the long-lived workers' fork-inherited state.
 
-Forked campaign workers snapshot the parent's module globals at pool
-creation.  Two structural hazards follow:
+Forked campaign workers snapshot the parent's module globals when they
+start.  Two structural hazards follow:
 
 - a *mutable module-level global* the epoch does not know about
   (:mod:`repro.util.invalidation`) can drift between parent and workers
   with no invalidation — so every such global must be declared with
   :func:`~repro.util.invalidation.register_worker_state`;
 - a *registration executed inside a function body* mutates a registry at
-  some arbitrary later time, after pools may already have snapshotted it
+  some arbitrary later time, after workers may already have snapshotted it
   — registries must be populated at import time (module scope), which is
   exactly when every process, parent or worker, replays them.
 """

@@ -7,14 +7,20 @@ anything that normalizes to :class:`~repro.campaign.spec.RunSpec` cells
 and runs them under one of three policies —
 
 - ``"serial"`` — in declaration order, in-process (deterministic, no
-  pool overhead; what the figure harnesses use);
-- ``"threads"`` — a thread pool; worthwhile because the cache kernels
-  release the GIL inside numpy, and required when plugin schedulers or
-  workloads were registered at runtime (thread workers see them);
-- ``"processes"`` — the multiprocessing fan-out campaigns always used.
-  Worker processes re-import :mod:`repro`, so runtime-registered
-  plugins are only visible where the start method is ``fork`` (the
-  Linux default) or the plugin module is imported on worker start.
+  worker overhead; what the figure harnesses use);
+- ``"threads"`` — worker threads; worthwhile because the compiled cache
+  kernel is called through ``ctypes.CDLL``, which releases the GIL, and
+  required when plugin schedulers or workloads were registered at
+  runtime (thread workers see them);
+- ``"processes"`` — worker processes, what campaigns always used.
+  They re-import :mod:`repro`, so runtime-registered plugins are only
+  visible where the start method is ``fork`` (the Linux default) or the
+  plugin module is imported on worker start.
+
+Both pooled policies run the same supervisor (:class:`_FanOut`) over
+*lanes*: one worker each, on one end of a duplex pipe, holding at most
+one unit of cells at a time, so every failure is charged to the one
+cell that caused it.
 
 Results are the existing typed records (:class:`RunResult`,
 :class:`CampaignOutcome`, :class:`SchedulerComparison`), so everything
@@ -27,21 +33,17 @@ from __future__ import annotations
 import atexit
 import contextlib
 import math
+import pickle
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    CancelledError,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing import Pipe, Process
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.api.scenario import Scenario
 from repro.campaign.spec import CampaignSpec, RunSpec
@@ -87,7 +89,7 @@ def _pool_worker_init(
     fast_cache: bool,
     fault_plan: str | None,
 ) -> None:
-    """Align a fresh pool worker with the parent's tuning state.
+    """Align a fresh worker process with the parent's tuning state.
 
     Fork workers inherit it anyway; with the spawn start method (or
     after the parent reconfigured mid-session) this keeps the persistent
@@ -125,7 +127,7 @@ def _pool_worker_init(
         configure_memo_store(memo_dir, mode=memo_mode)
 
 
-def _pool_init_args() -> tuple[object, ...]:
+def _pool_init_args() -> tuple[str | None, str, bool, str | None]:
     import os as _os
 
     from repro.cache.memo import fast_cache_enabled
@@ -141,142 +143,230 @@ def _pool_init_args() -> tuple[object, ...]:
     )
 
 
-#: One long-lived worker pool per ``jobs`` count, reused across
-#: ``run_many`` calls: worker start-up (an interpreter plus the NumPy
-#: import) dwarfs a typical cell, and campaigns composed of several
-#: rollup passes (sensitivity, the figure harnesses, benches) otherwise
-#: pay it once per pass.  A pool is retired whenever fork-inherited
-#: state changed since it started (plugin registrations, engine
-#: toggles, memo-store reconfiguration — see repro.util.invalidation).
-_SHARED_POOLS: dict[int, tuple[int, ProcessPoolExecutor]] = {}
-register_worker_state(
-    __name__, "_SHARED_POOLS",
-    note="pool cache keyed by jobs; entries retired on epoch mismatch",
-)
-
-#: Serializes every read-modify-write of :data:`_SHARED_POOLS`.  The
-#: cache is reached from arbitrary threads (the campaign service runs
-#: engines on runner threads); without the lock two concurrent misses
-#: can create duplicate pools (one leaks resident workers for the
-#: process lifetime) or discard a pool a sibling is about to submit to.
-_SHARED_POOLS_LOCK = threading.Lock()
+def _beat_interval(lease_seconds: float) -> float:
+    """How often a lane renews a lease: four beats per lease, so one
+    late beat cannot expire a healthy lane, floored so a tiny lease
+    cannot spin the beat thread."""
+    return max(0.01, lease_seconds / 4)
 
 
-def _new_process_pool(jobs: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_pool_worker_init,
-        initargs=_pool_init_args(),
-    )
-
-
-def _kill_pool_processes(pool: ProcessPoolExecutor) -> None:
-    """Forcibly kill a pool's workers (hung-cell recovery).
-
-    ``shutdown`` only refuses new work — a worker stuck in an infinite
-    loop (or an injected hang) never returns, so the processes themselves
-    must be terminated before a fresh pool can make progress.
-    """
-    for process in list((getattr(pool, "_processes", None) or {}).values()):
+def _beat(
+    send: "Callable[[tuple[object, ...]], None]",
+    interval: float,
+    stop: threading.Event,
+) -> None:
+    """Send ``("beat",)`` every ``interval`` seconds until ``stop`` is set."""
+    while not stop.wait(interval):
         try:
-            process.terminate()
-        except Exception:
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
+            send(("beat",))
+        except OSError:
+            return  # the parent dropped this lane; it is about to be killed
 
 
-def _shared_process_pool(jobs: int) -> ProcessPoolExecutor:
-    with _SHARED_POOLS_LOCK:
-        epoch = worker_state_epoch()
-        cached = _SHARED_POOLS.get(jobs)
-        if cached is not None:
-            pool_epoch, pool = cached
-            if pool_epoch == epoch:
-                return pool
-        # One pool at a time: a differently-sized (or stale) pool's idle
-        # workers would otherwise stay resident for the process lifetime.
-        for other in list(_SHARED_POOLS):
-            stale = _SHARED_POOLS.pop(other)
-            stale[1].shutdown(wait=False, cancel_futures=True)
-        pool = _new_process_pool(jobs)
-        _SHARED_POOLS[jobs] = (epoch, pool)
-        return pool
+def _portable(exc: Exception) -> Exception:
+    """``exc`` if it survives a pickle round trip, else a plain error.
+
+    Full round trip: an exception whose custom ``__init__`` signature
+    pickles but fails to *unpickle* would kill the parent's end of the
+    pipe.
+    """
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return CampaignError(f"{type(exc).__name__}: {exc}")
+    return exc
 
 
-def _discard_shared_pool(jobs: int) -> None:
-    with _SHARED_POOLS_LOCK:
-        cached = _SHARED_POOLS.pop(jobs, None)
-    if cached is not None:
-        cached[1].shutdown(wait=False, cancel_futures=True)
+def _lane_loop(conn: Connection) -> None:
+    """Serve units from the parent until it hangs up.
+
+    A unit arrives as ``(runs, beat_interval)``.  Each cell is bracketed
+    by ``("start", i)`` and ``("ok" | "err", i, value)``, so the parent
+    always knows which cell this lane holds; per-cell errors travel as
+    data.  With a ``beat_interval`` (a lease is in force) a daemon
+    thread sends ``("beat",)`` while the unit runs, sharing one send
+    lock with this loop.
+    """
+    from repro.campaign.executor import execute_run
+
+    lock = threading.Lock()
+
+    def send(message: tuple[object, ...]) -> None:
+        with lock:
+            conn.send(message)
+
+    with conn:
+        while True:
+            try:
+                runs, beat_interval = conn.recv()
+            except (EOFError, OSError):
+                return
+            stop = threading.Event()
+            if beat_interval is not None:
+                threading.Thread(
+                    target=_beat,
+                    args=(send, beat_interval, stop),
+                    name="repro-lane-beat",
+                    daemon=True,
+                ).start()
+            try:
+                for i, run in enumerate(runs):
+                    send(("start", i))
+                    outcome: tuple[str, int, object]
+                    try:
+                        outcome = ("ok", i, execute_run(run))
+                    except Exception as exc:
+                        outcome = ("err", i, _portable(exc))
+                    send(outcome)
+            except OSError:
+                return  # the parent abandoned this lane
+            finally:
+                stop.set()
 
 
-def _terminate_shared_pool(jobs: int) -> None:
-    """Kill the shared pool's workers (see :func:`_kill_pool_processes`)."""
-    with _SHARED_POOLS_LOCK:
-        cached = _SHARED_POOLS.pop(jobs, None)
-    if cached is not None:
-        _kill_pool_processes(cached[1])
+def _process_lane(
+    conn: Connection, init_args: tuple[str | None, str, bool, str | None]
+) -> None:
+    _pool_worker_init(*init_args)
+    _lane_loop(conn)
+
+
+class _Lane:
+    """One worker on one end of a duplex pipe, holding at most one unit.
+
+    The worker is a process (``processes`` policy) or a daemon thread
+    (``threads``) running :func:`_lane_loop`.  The parent-side state is
+    explicit: idle (``unit`` empty); running ``unit``, with the
+    ``started`` cell (an index into the grid, or None between cells),
+    its ``since`` stamp and the ``beat`` stamp of the last message; or
+    dead (:meth:`alive` is false).
+    """
+
+    def __init__(self, threaded: bool) -> None:
+        self.threaded = threaded
+        self._spawn()
+
+    def _spawn(self) -> None:
+        self.conn, child = Pipe()
+        if self.threaded:
+            self.worker: "Process | threading.Thread" = threading.Thread(
+                target=_lane_loop, args=(child,), name="repro-lane", daemon=True
+            )
+            self.worker.start()
+        else:
+            self.worker = Process(
+                target=_process_lane, args=(child, _pool_init_args()), daemon=True
+            )
+            self.worker.start()
+            child.close()
+        self.epoch = worker_state_epoch()
+        self.unit: list[int] = []
+        self.finished = 0
+        self.started: int | None = None
+        self.since = self.beat = 0.0
+
+    @property
+    def sentinel(self) -> int | None:
+        """The process sentinel (death is not seen through pipe EOF:
+        forked siblings inherit pipe ends)."""
+        return self.worker.sentinel if isinstance(self.worker, Process) else None
+
+    def alive(self) -> bool:
+        return self.worker.is_alive()
+
+    def dispatch(
+        self, unit: list[int], runs: "Sequence[RunSpec]",
+        beat_interval: float | None,
+    ) -> None:
+        self.unit, self.finished, self.started = unit, 0, None
+        self.since = self.beat = time.monotonic()
+        self.conn.send(([runs[i] for i in unit], beat_interval))
+
+    def receive(self, message: tuple[Any, ...]) -> tuple[int, str, Any] | None:
+        """Apply one lane message; returns ``(cell, status, value)`` for
+        an outcome, None for ``start`` and ``beat``."""
+        self.beat = time.monotonic()
+        if message[0] == "beat":
+            return None
+        cell = self.unit[message[1]]
+        if message[0] == "start":
+            self.started, self.since = cell, self.beat
+            return None
+        self.started, self.finished = None, message[1] + 1
+        if self.finished == len(self.unit):
+            self.unit = []
+        return cell, message[0], message[2]
+
+    def unstarted(self) -> list[int]:
+        """The unit's cells that never sent ``start``."""
+        return self.unit[self.finished + (self.started is not None):]
+
+    def stop(self) -> None:
+        """Kill a process lane (a thread lane is abandoned) and hang up."""
+        if isinstance(self.worker, Process):
+            self.worker.kill()
+            self.worker.join()
+        self.conn.close()
+
+    def respawn(self) -> None:
+        self.stop()
+        self._spawn()
+
+
+#: Idle process lanes, reused across ``run_many`` calls: worker start-up
+#: dwarfs a typical cell, and campaigns composed of several passes
+#: (sensitivity, the figure harnesses, every ``repro serve`` batch)
+#: otherwise pay it once per pass.  ``run_many`` checks lanes out, so
+#: concurrent engines never share one, and checks the live ones back
+#: in.  A lane is retired when fork-inherited state changed since it
+#: started (plugin registrations, engine toggles, memo-store
+#: reconfiguration — see repro.util.invalidation).
+_IDLE_LANES: list[_Lane] = []
+register_worker_state(
+    __name__, "_IDLE_LANES",
+    note="idle worker lanes; a lane is retired on epoch mismatch",
+)
+_IDLE_LANES_LOCK = threading.Lock()
+
+
+def _checkout_lanes(count: int) -> list[_Lane]:
+    """Take ``count`` current idle process lanes, spawning any missing."""
+    epoch = worker_state_epoch()
+    with _IDLE_LANES_LOCK:
+        current = [lane for lane in _IDLE_LANES if lane.epoch == epoch]
+        retired = [lane for lane in _IDLE_LANES if lane.epoch != epoch]
+        taken, _IDLE_LANES[:] = current[:count], current[count:]
+    lanes: list[_Lane] = []
+    for lane in taken:
+        (lanes if lane.alive() else retired).append(lane)
+    for lane in retired:
+        lane.stop()
+    return lanes + [_Lane(threaded=False) for _ in range(count - len(lanes))]
+
+
+def _checkin_lanes(lanes: list[_Lane]) -> None:
+    """Park idle, live, current process lanes; stop every other lane."""
+    epoch = worker_state_epoch()
+    parked: list[_Lane] = []
+    for lane in lanes:
+        if (
+            not lane.threaded and not lane.unit
+            and lane.epoch == epoch and lane.alive()
+        ):
+            parked.append(lane)
+        else:
+            lane.stop()
+    with _IDLE_LANES_LOCK:
+        _IDLE_LANES.extend(parked)
 
 
 @atexit.register
-def _shutdown_shared_pools() -> None:
-    with _SHARED_POOLS_LOCK:
-        pools = [pool for _, pool in _SHARED_POOLS.values()]
-        _SHARED_POOLS.clear()
-    for pool in pools:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-class _PoolHost:
-    """Hands worker pools to :class:`_FanOut` and retires them.
-
-    The default host wraps the module-wide shared cache.  A *private*
-    host owns a dedicated pool for one engine: engines that run
-    concurrently in a single process (the campaign service executes
-    several campaigns at once) must not share — recovering one
-    campaign's hung cell by terminating the pool would also kill every
-    sibling campaign's in-flight workers and misattribute their crashes.
-    """
-
-    def __init__(self, jobs: int, private: bool = False) -> None:
-        self.jobs = jobs
-        self.private = private
-        self._pool: ProcessPoolExecutor | None = None
-        self._epoch: int | None = None
-
-    def acquire(self) -> ProcessPoolExecutor:
-        if not self.private:
-            return _shared_process_pool(self.jobs)
-        epoch = worker_state_epoch()
-        if self._pool is not None and self._epoch != epoch:
-            self.discard()
-        if self._pool is None:
-            self._pool = _new_process_pool(self.jobs)
-            self._epoch = epoch
-        return self._pool
-
-    def discard(self) -> None:
-        """Retire the pool handle (its workers already died or drained)."""
-        if not self.private:
-            _discard_shared_pool(self.jobs)
-            return
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def terminate(self) -> None:
-        """Kill the pool's worker processes (hung-cell recovery)."""
-        if not self.private:
-            _terminate_shared_pool(self.jobs)
-            return
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            _kill_pool_processes(pool)
-
-    def close(self) -> None:
-        """Release a private pool; the shared cache persists by design."""
-        if self.private:
-            self.discard()
+def _stop_idle_lanes() -> None:
+    with _IDLE_LANES_LOCK:
+        lanes = list(_IDLE_LANES)
+        _IDLE_LANES.clear()
+    for lane in lanes:
+        lane.stop()
 
 
 def _workload_weight(ref: str) -> int:
@@ -294,10 +384,10 @@ def _chunk_runs(
     """Group cell indices into worker-sized chunks, heaviest first.
 
     Cells sharing a workload and machine reuse each other's memoized
-    EPGs, traces, and analyses, so they belong in the same worker; a
-    cap keeps single-workload grids (open-system sweeps) from
-    collapsing into one serial task.  Chunks are ordered by descending
-    estimated cost so the pool's greedy assignment balances naturally.
+    EPGs and traces, so they belong in the same worker; a cap keeps
+    single-workload grids (open-system sweeps) from collapsing into one
+    serial task.  Chunks are ordered by descending estimated cost so
+    handing each free lane the next chunk balances naturally.
     """
     groups: dict[tuple[object, ...], list[int]] = {}
     for index, run in enumerate(runs):
@@ -352,22 +442,14 @@ class _SerialWatchdog:
 class _FanOut:
     """The retry/timeout/quarantine loop shared by the pooled policies.
 
-    Cells are dispatched as *units* (one future each): workload-grouped
-    chunks on the process pool when nothing needs per-cell attribution,
-    single cells otherwise (a per-cell timeout is in force, a cell is
-    being retried, or a pool crash forced attribution).  Worker-side
-    per-cell errors come back as data (see ``execute_chunk_outcomes``),
-    so a future-level exception always means the transport died — a
-    crashed worker breaking the process pool — and only *incomplete*
-    units are ever resubmitted.
-
-    At most ``jobs`` units are in flight on the process pool at once;
-    the rest wait in :attr:`pending`.  ``ProcessPoolExecutor`` marks a
-    future RUNNING as soon as it enters the call queue (which holds
-    ``max_workers + 1`` items), so without the cap a unit stuck behind
-    a full pool would look running, anchor its wall-clock deadline, and
-    age its lease with no worker heartbeating it — long cells would
-    spuriously expire queued neighbors and charge them crashes.
+    Cells are dispatched as *units*, one per lane (see :class:`_Lane`):
+    workload-grouped chunks on process lanes when nothing bounds a cell
+    (neither a timeout nor a lease), single cells otherwise.  Because
+    every lane reports ``start`` before each cell, a death (seen through
+    the process sentinel), a timeout or a silence longer than the lease
+    charges exactly the cell its lane had started; that lane alone is
+    replaced, and its unstarted cells are requeued uncharged.  No
+    sibling lane is touched and no cell ever re-runs for a neighbor.
     """
 
     runs: "Sequence[RunSpec]"
@@ -378,258 +460,147 @@ class _FanOut:
     keep_going: bool
     on_result: ResultFn | None
     on_failure: FailureFn | None
-    #: Lease length for dispatched units (processes policy only): a unit
-    #: whose worker stops heartbeating for this long is presumed dead
-    #: and resubmitted.  None disables leasing (the historical behavior).
+    #: Lease length (processes policy only): a lane silent this long is
+    #: presumed dead and its cell charged a crash.  None disables it.
     lease_seconds: float | None = None
-    #: Where process pools come from (shared cache or engine-private).
-    pool_host: "_PoolHost | None" = None
-
-    #: Poll interval while waiting for a future to enter the running
-    #: state (needed to anchor its wall-clock deadline).
-    poll: float = 0.05
 
     def __post_init__(self) -> None:
         count = len(self.runs)
-        self.pools: _PoolHost = (
-            self.pool_host if self.pool_host is not None
-            else _PoolHost(self.jobs)
-        )
         self.results: "list[RunResult | None]" = [None] * count
         self.failures: "list[CellFailure]" = []
         self.outstanding: set[int] = set(range(count))
         self.attempts_used = [0] * count
         self.first_submit: dict[int, float] = {}
-        self.pending: "list[list[int]]" = []  # units awaiting pool capacity
-        self.active: "dict[Future[object], list[int]]" = {}
-        self.run_started: "dict[Future[object], float]" = {}  # monotonic stamps
+        self.queue: deque[list[int]] = deque()
         self.delayed: list[tuple[float, int]] = []  # (due, index)
-        self.single_mode = (
-            self.cell_timeout is not None or self.lease_seconds is not None
-        )
-        self.lease_dir: Path | None = None
-        self.lease_files: "dict[Future[object], Path]" = {}
-        self.lease_counter = 0
+        self.lanes: list[_Lane] = []
         self.abort_exc: BaseException | None = None
-        self.pool_breaks = 0
-        self.thread_pool: ThreadPoolExecutor | None = None
-        #: Cells implicated in a pool break.  A suspect is re-run *solo*
-        #: (one suspect in flight at a time) so the next break attributes
-        #: the crash to exactly one cell instead of charging every unit
-        #: that happened to be running when a sibling's worker died.
-        self.suspects: set[int] = set()
-        self.probe_queue: list[int] = []
-        self.probe: int | None = None
-
-    # -- dispatch ------------------------------------------------------------
+        #: Lanes that died (or went silent) while holding no started cell.
+        self.idle_deaths = 0
+        self.beat_interval = (
+            _beat_interval(self.lease_seconds)
+            if self.lease_seconds is not None else None
+        )
 
     def execute(self) -> "tuple[list[RunResult | None], list[CellFailure]]":
+        if (
+            self.policy == "processes"
+            and self.cell_timeout is None and self.lease_seconds is None
+        ):
+            self.queue.extend(_chunk_runs(self.runs, self.jobs))
+        else:
+            self.queue.extend([index] for index in range(len(self.runs)))
+        count = min(self.jobs, len(self.queue))
         try:
             if self.policy == "threads":
-                self.thread_pool = ThreadPoolExecutor(max_workers=self.jobs)
-            self._submit_initial()
+                self.lanes = [_Lane(threaded=True) for _ in range(count)]
+            else:
+                self.lanes = _checkout_lanes(count)
             while self.outstanding and self.abort_exc is None:
                 self._step()
         finally:
-            self._shutdown()
+            _checkin_lanes(self.lanes)
         if self.abort_exc is not None:
             raise self.abort_exc
         return self.results, self.failures
 
-    def _submit_initial(self) -> None:
-        if self.policy == "processes" and not self.single_mode:
-            for chunk in _chunk_runs(self.runs, self.jobs):
-                self._enqueue(chunk)
-        else:
-            for index in range(len(self.runs)):
-                self._enqueue([index])
-        self._pump()
-
-    def _enqueue(self, indices: list[int]) -> None:
-        self.pending.append(indices)
-
-    def _pump(self) -> None:
-        """Submit queued units while the pool has capacity.
-
-        Thread futures report RUNNING accurately (the worker flips the
-        state right before the call), so the threads policy needs no
-        cap; process units are capped at ``jobs`` in flight — see the
-        class docstring.
-        """
-        while self.pending and (
-            self.policy == "threads" or len(self.active) < self.jobs
-        ):
-            self._submit(self.pending.pop(0))
-
-    def _submit(self, indices: list[int]) -> None:
-        from repro.campaign.executor import execute_chunk_outcomes, execute_run
-
-        now = time.monotonic()
-        for index in indices:
-            self.first_submit.setdefault(index, now)
-        if self.policy == "threads":
-            future = self.thread_pool.submit(execute_run, self.runs[indices[0]])
-        elif self.lease_seconds is not None:
-            from repro.campaign.leases import (
-                execute_leased_outcomes,
-                grant_lease,
-                heartbeat_interval,
-            )
-
-            if self.lease_dir is None:
-                import tempfile
-
-                self.lease_dir = Path(tempfile.mkdtemp(prefix="repro-leases-"))
-            self.lease_counter += 1
-            lease = self.lease_dir / f"unit-{self.lease_counter}.hb"
-            grant_lease(lease)
-            future = self.pools.acquire().submit(
-                execute_leased_outcomes,
-                [self.runs[i] for i in indices],
-                str(lease),
-                heartbeat_interval(self.lease_seconds),
-            )
-            self.lease_files[future] = lease
-        else:
-            future = self.pools.acquire().submit(
-                execute_chunk_outcomes, [self.runs[i] for i in indices]
-            )
-        self.active[future] = indices
-
-    def _drop_lease(self, future: "Future[object]") -> None:
-        lease = self.lease_files.pop(future, None)
-        if lease is not None:
-            try:
-                lease.unlink()
-            except OSError:
-                pass
-
-    # -- one scheduler turn --------------------------------------------------
+    # -- one supervisor turn -------------------------------------------------
 
     def _step(self) -> None:
         now = time.monotonic()
         for item in [d for d in self.delayed if d[0] <= now]:
             self.delayed.remove(item)
-            self._dispatch(item[1])
-        self._pump()
-        if self.probe is None and not self.active:
-            while self.probe_queue:
-                index = self.probe_queue.pop(0)
-                if index in self.outstanding:
-                    self.probe = index
-                    self._submit([index])
-                    break
-        if not self.active:
+            self.queue.append([item[1]])
+        for lane in self.lanes:
+            if not lane.unit and self.queue:
+                self._dispatch(lane, self.queue.popleft())
+        busy = [lane for lane in self.lanes if lane.unit]
+        if not busy:
             if self.delayed:
-                time.sleep(max(0.0, min(d for d, _ in self.delayed) - now))
+                time.sleep(max(0.0, min(due for due, _ in self.delayed) - now))
             return
-        for future in self.active:
-            if future not in self.run_started and future.running():
-                self.run_started[future] = now
-                lease = self.lease_files.get(future)
-                if lease is not None:
-                    # Re-anchor the lease clock: time spent queued behind
-                    # a full pool must not count against the worker.
-                    from repro.campaign.leases import grant_lease
+        handles: list[Connection | int] = [lane.conn for lane in busy]
+        handles += [lane.sentinel for lane in busy if lane.sentinel is not None]
+        wait(handles, timeout=self._wait_timeout(busy, now))
+        for lane in busy:
+            self._poll(lane)
+            if self.abort_exc is not None:
+                return
 
-                    grant_lease(lease)
-        done, _ = wait(
-            set(self.active),
-            timeout=self._wait_timeout(now),
-            return_when=FIRST_COMPLETED,
-        )
-        for future in done:
-            self._complete(future)
-        if self.cell_timeout is not None and self.abort_exc is None:
-            self._expire(time.monotonic())
-        if self.lease_seconds is not None and self.abort_exc is None:
-            self._reap_leases()
+    def _wait_timeout(self, busy: list[_Lane], now: float) -> float | None:
+        """Until the next retry is due, a cell's deadline, or a lease lapses."""
+        times = [due for due, _ in self.delayed]
+        for lane in busy:
+            if self.cell_timeout is not None and lane.started is not None:
+                times.append(lane.since + self.cell_timeout)
+            if self.lease_seconds is not None:
+                times.append(lane.beat + self.lease_seconds)
+        return max(0.0, min(times) - now) if times else None
 
-    def _wait_timeout(self, now: float) -> float | None:
-        candidates = []
-        if self.delayed:
-            candidates.append(min(due for due, _ in self.delayed) - now)
-        if self.cell_timeout is not None:
-            running = [
-                started
-                for future, started in self.run_started.items()
-                if future in self.active
-            ]
-            if running:
-                candidates.append(min(running) + self.cell_timeout - now)
-            if any(f not in self.run_started for f in self.active):
-                candidates.append(self.poll)
-        if self.lease_seconds is not None and self.active:
-            from repro.campaign.leases import heartbeat_interval
-
-            # Wake at the heartbeat cadence so stale leases are noticed
-            # within one renewal interval of going stale.
-            candidates.append(heartbeat_interval(self.lease_seconds))
-            if any(f not in self.run_started for f in self.active):
-                candidates.append(self.poll)
-        if not candidates:
-            return None  # block until a future completes
-        return max(0.0, min(candidates))
-
-    # -- completion paths ----------------------------------------------------
-
-    def _complete(self, future: "Future[object]") -> None:
-        # A pool break drains *all* in-flight units at once, so sibling
-        # futures from the same wait() batch may already be gone.
-        indices = self.active.pop(future, None)
-        if indices is None:
-            return
-        self.run_started.pop(future, None)
-        self._drop_lease(future)
+    def _dispatch(self, lane: _Lane, unit: list[int]) -> None:
+        now = time.monotonic()
+        for index in unit:
+            self.first_submit.setdefault(index, now)
         try:
-            payload = future.result()
-        except BrokenProcessPool as exc:
-            self._pool_break(future, indices, exc)
-            return
-        except CancelledError:
-            if self.probe in indices:
-                self.probe = None
-            self._resubmit(indices)
-            return
-        except Exception as exc:
-            # The unit ran and raised in-band, so its worker is alive:
-            # whatever broke the pool earlier, these cells are cleared.
-            self._clear_suspects(indices)
-            if self.policy == "threads" or len(indices) == 1:
-                self._cell_failed(indices[0], exc)
-            else:
-                # Transport-level failure of a chunk (unpicklable result,
-                # executor teardown): split for exact attribution.
-                self.single_mode = True
-                self._resubmit(indices)
-            return
-        self._clear_suspects(indices)
-        if self.policy == "threads":
-            self._cell_done(indices[0], payload)
-            return
-        for index, (status, value) in zip(indices, payload):
-            if status == "ok":
-                self._cell_done(index, value)
-            else:
-                self._cell_failed(index, value)
+            lane.dispatch(unit, self.runs, self.beat_interval)
+        except OSError:
+            self._replace(lane, WorkerCrashError)  # it died while idle
 
-    def _dispatch(self, index: int) -> None:
-        if index in self.suspects:
-            if index not in self.probe_queue:
-                self.probe_queue.append(index)
-        else:
-            self._enqueue([index])
+    def _poll(self, lane: _Lane) -> None:
+        """Drain one busy lane's messages, then check its health."""
+        # Liveness first: whatever a dead worker sent is already in the
+        # pipe, so draining afterwards cannot miss its last outcome.
+        alive = lane.alive()
+        try:
+            while lane.unit and lane.conn.poll():
+                outcome = lane.receive(lane.conn.recv())
+                if outcome is None:
+                    continue
+                index, status, value = outcome
+                if status == "ok":
+                    self._cell_done(index, value)
+                else:
+                    self._cell_failed(index, value)
+        except (EOFError, OSError):
+            alive = False
+        if not lane.unit or self.abort_exc is not None:
+            return
+        now = time.monotonic()
+        timeout, lease = self.cell_timeout, self.lease_seconds
+        if not alive:
+            self._replace(lane, WorkerCrashError)
+        elif (
+            timeout is not None and lane.started is not None
+            and now - lane.since >= timeout
+        ):
+            self._replace(lane, lambda key: CellTimeoutError(key, timeout))
+        elif lease is not None and now - lane.beat >= lease:
+            self._replace(lane, lambda key: LeaseExpiredError(key, lease))
 
-    def _resubmit(self, indices: list[int]) -> None:
-        for index in indices:
-            if index in self.outstanding:
-                self._dispatch(index)
+    def _replace(
+        self, lane: _Lane, charge: "Callable[[str], Exception]"
+    ) -> None:
+        """Replace a dead, hung or silent lane; charge only its started cell.
 
-    def _clear_suspects(self, indices: list[int]) -> None:
-        for index in indices:
-            self.suspects.discard(index)
-        if self.probe in indices:
-            self.probe = None
+        The unit's unstarted cells are requeued uncharged.  A lane lost
+        while holding no started cell charges nobody, but such losses
+        are bounded so a worker that cannot even start fails the batch.
+        """
+        cell, rest = lane.started, lane.unstarted()
+        lane.respawn()
+        if rest:
+            self.queue.append(rest)
+        if cell is not None:
+            self._cell_failed(cell, charge(self.runs[cell].cell_key()))
+            return
+        self.idle_deaths += 1
+        if self.idle_deaths > max(4, self.attempts_allowed * len(self.runs)):
+            self.abort_exc = CampaignError(
+                f"worker lanes died {self.idle_deaths} times outside any "
+                f"cell; giving up"
+            )
+
+    # -- cell outcomes -------------------------------------------------------
 
     def _cell_done(self, index: int, result: "RunResult") -> None:
         if index not in self.outstanding:
@@ -663,150 +634,30 @@ class _FanOut:
             # opted into quarantine see exactly the historical error.
             self.abort_exc = exc
 
-    def _pool_break(
-        self, future: "Future[object]", indices: list[int], exc: BaseException
-    ) -> None:
-        """A worker died: retire the pool, resubmit only incomplete work.
 
-        Every in-flight future dies with the pool, so the break alone
-        cannot say *which* cell crashed its worker.  Units that were
-        observed running become suspects and re-run solo (see
-        :attr:`suspects`): a break during a solo probe is charged to that
-        probe exactly, and every innocent suspect clears itself with one
-        clean run.  Queued units were never running and resubmit as
-        ordinary single cells.
-        """
-        self.pool_breaks += 1
-        self.pools.discard()
-        self.single_mode = True
-        broken = [(future, indices)] + list(self.active.items())
-        self.active.clear()
-        probe_index, self.probe = self.probe, None
-        if self.pool_breaks > max(4, self.attempts_allowed * len(self.runs)):
-            self.abort_exc = CampaignError(
-                f"worker pool died {self.pool_breaks} times; giving up "
-                f"(last error: {exc})"
-            )
-            return
-        for dead, dead_indices in broken:
-            was_running = dead is future or dead in self.run_started
-            self.run_started.pop(dead, None)
-            self._drop_lease(dead)
-            if dead_indices == [probe_index]:
-                self._cell_failed(
-                    probe_index,
-                    WorkerCrashError(self.runs[probe_index].cell_key()),
-                )
-                if self.abort_exc is not None:
-                    return
-                # A surviving retry stays a suspect: it re-probes after
-                # its backoff, so repeat offenders exhaust their budget.
-            else:
-                if was_running:
-                    self.suspects.update(
-                        i for i in dead_indices if i in self.outstanding
-                    )
-                self._resubmit(dead_indices)
-
-    def _expire(self, now: float) -> None:
-        expired = [
-            future
-            for future, started in self.run_started.items()
-            if future in self.active and now - started >= self.cell_timeout
-        ]
-        if not expired:
-            return
-        if self.policy == "threads":
-            # A running thread cannot be killed: abandon its future (the
-            # eventual result is discarded) and charge the timeout.
-            for future in expired:
-                indices = self.active.pop(future)
-                self.run_started.pop(future, None)
-                future.cancel()
-                self._timeout_cell(indices[0])
-                if self.abort_exc is not None:
-                    return
-            return
-        # Processes: the only way to stop a hung worker is to kill the
-        # pool, so every in-flight unit dies; the hung cells are charged
-        # and the innocent bystanders resubmit uncharged on a fresh pool.
-        self.pools.terminate()
-        victims = set(expired)
-        units = list(self.active.items())
-        self.active.clear()
-        self.run_started.clear()
-        self.probe = None  # every in-flight future died with the pool
-        for future, indices in units:
-            self._drop_lease(future)
-            if future in victims:
-                self._timeout_cell(indices[0])
-                if self.abort_exc is not None:
-                    return
-            else:
-                self._resubmit(indices)
-
-    def _reap_leases(self) -> None:
-        """Expire leased units whose workers stopped heartbeating.
-
-        Unlike a pool break — where every in-flight future dies at once
-        and attribution needs the suspect/solo-probe dance — a stale
-        heartbeat names its cell exactly, so the expired cell is charged
-        a :class:`LeaseExpiredError` (kind ``crash``) directly and the
-        innocent bystanders resubmit uncharged on a fresh pool.
-        """
-        from repro.campaign.leases import heartbeat_age
-
-        expired = [
-            future
-            for future in self.active
-            if future in self.run_started
-            and future in self.lease_files
-            and heartbeat_age(self.lease_files[future]) >= self.lease_seconds
-        ]
-        if not expired:
-            return
-        # The presumed-dead worker may be merely stopped; kill the pool
-        # so it cannot come back and double-report its cell.
-        self.pools.terminate()
-        victims = set(expired)
-        units = list(self.active.items())
-        self.active.clear()
-        self.run_started.clear()
-        self.probe = None
-        for future, indices in units:
-            self._drop_lease(future)
-            if future in victims:
-                self._cell_failed(
-                    indices[0],
-                    LeaseExpiredError(
-                        self.runs[indices[0]].cell_key(), self.lease_seconds
-                    ),
-                )
-                if self.abort_exc is not None:
-                    return
-            else:
-                self._resubmit(indices)
-
-    def _timeout_cell(self, index: int) -> None:
-        self._cell_failed(
-            index,
-            CellTimeoutError(self.runs[index].cell_key(), self.cell_timeout),
+def _check_knobs(
+    jobs: int,
+    policy: str | None,
+    max_retries: int,
+    cell_timeout: float | None,
+    lease_seconds: float | None,
+) -> None:
+    """Reject out-of-range execution knobs with a :class:`CampaignError`."""
+    if jobs < 1:
+        raise CampaignError(f"jobs must be >= 1, got {jobs}")
+    if policy is not None and policy not in EXECUTION_POLICIES:
+        raise CampaignError(
+            f"unknown execution policy {policy!r}; expected one of "
+            f"{', '.join(EXECUTION_POLICIES)}"
         )
-
-    def _shutdown(self) -> None:
-        self.pending.clear()
-        for future in list(self.active):
-            future.cancel()
-        self.active.clear()
-        if self.thread_pool is not None:
-            self.thread_pool.shutdown(wait=False, cancel_futures=True)
-            self.thread_pool = None
-        if self.lease_dir is not None:
-            import shutil
-
-            shutil.rmtree(self.lease_dir, ignore_errors=True)
-            self.lease_dir = None
-            self.lease_files.clear()
+    if max_retries < 0:
+        raise CampaignError(f"max_retries must be >= 0, got {max_retries}")
+    if cell_timeout is not None and cell_timeout <= 0:
+        raise CampaignError(f"cell_timeout must be positive, got {cell_timeout}")
+    if lease_seconds is not None and lease_seconds <= 0:
+        raise CampaignError(
+            f"lease_seconds must be positive, got {lease_seconds}"
+        )
 
 
 def _as_run_specs(runnable: object) -> list[RunSpec]:
@@ -839,29 +690,24 @@ class Engine:
     The fault-tolerance knobs apply to every execution method:
     ``max_retries`` re-attempts a failing cell with capped exponential
     backoff before giving up on it; ``cell_timeout`` bounds one attempt's
-    wall clock (hung process workers are killed via pool retirement);
+    wall clock (a hung worker process is killed and replaced);
     ``keep_going`` converts terminal cell failures into structured
     :class:`~repro.campaign.failures.CellFailure` quarantine records
     instead of aborting the batch.  All three default off, which is
     byte-for-byte the historical behavior.
 
-    ``lease_seconds`` adds a liveness check on top: each dispatched unit
-    carries a lease renewed by worker heartbeats, and a worker silent
-    for a full lease is presumed dead — its cell is charged a ``crash``
-    and resubmitted (see :mod:`repro.campaign.leases`).  Leases need
-    real worker processes, so the knob applies to the ``processes``
-    policy only and is silently ignored elsewhere; it bounds *silence*,
-    not runtime — pair it with ``cell_timeout`` to also bound a worker
-    that is alive but stuck.
+    ``lease_seconds`` adds a liveness check on top: while a unit runs,
+    its worker sends a beat down its pipe every quarter lease, and a
+    worker silent for a full lease is presumed dead — it is killed and
+    its cell charged a ``crash``.  Leases need real worker processes, so
+    the knob applies to the ``processes`` policy only and is silently
+    ignored elsewhere; it bounds *silence*, not runtime — pair it with
+    ``cell_timeout`` to also bound a worker that is alive but stuck.
 
-    ``private_pool`` gives this engine its own worker pool instead of
-    the process-wide shared cache.  Engines running *concurrently* in
-    one process (the campaign service runs several campaigns at once)
-    must set it: recovering one engine's hung cell terminates its pool,
-    and a shared pool would take every sibling engine's in-flight
-    workers down with it.  A private pool is reused across this
-    engine's ``run_many`` calls; call :meth:`close` (or use the engine
-    as a context manager) to release its workers.
+    Worker processes are reused across ``run_many`` calls, and engines
+    running concurrently in one process (the campaign service runs
+    several campaigns at once) never share one, so one engine's hung
+    cell is recovered without touching a sibling's workers.
     """
 
     jobs: int = 1
@@ -873,56 +719,12 @@ class Engine:
     cell_timeout: float | None = None
     keep_going: bool = False
     lease_seconds: float | None = None
-    private_pool: bool = False
 
     def __post_init__(self) -> None:
-        self._pool_host: _PoolHost | None = None
-        if self.jobs < 1:
-            raise CampaignError(f"jobs must be >= 1, got {self.jobs}")
-        if self.policy is not None and self.policy not in EXECUTION_POLICIES:
-            raise CampaignError(
-                f"unknown execution policy {self.policy!r}; expected one "
-                f"of {', '.join(EXECUTION_POLICIES)}"
-            )
-        if self.max_retries < 0:
-            raise CampaignError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.cell_timeout is not None and self.cell_timeout <= 0:
-            raise CampaignError(
-                f"cell_timeout must be positive, got {self.cell_timeout}"
-            )
-        if self.lease_seconds is not None and self.lease_seconds <= 0:
-            raise CampaignError(
-                f"lease_seconds must be positive, got {self.lease_seconds}"
-            )
-
-    # -- worker-pool ownership -----------------------------------------------
-
-    def _pools_for(self, jobs: int) -> _PoolHost:
-        if not self.private_pool:
-            return _PoolHost(jobs)
-        if self._pool_host is None or self._pool_host.jobs != jobs:
-            if self._pool_host is not None:
-                self._pool_host.close()
-            self._pool_host = _PoolHost(jobs, private=True)
-        return self._pool_host
-
-    def close(self) -> None:
-        """Release this engine's dedicated worker pool, if it has one.
-
-        Only meaningful with ``private_pool`` (the shared cache is
-        process-wide and persists by design); safe to call repeatedly.
-        """
-        if self._pool_host is not None:
-            self._pool_host.close()
-            self._pool_host = None
-
-    def __enter__(self) -> "Engine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        _check_knobs(
+            self.jobs, self.policy, self.max_retries,
+            self.cell_timeout, self.lease_seconds,
+        )
 
     # -- single cell ---------------------------------------------------------
 
@@ -967,34 +769,18 @@ class Engine:
         """
         runs = _as_run_specs(runnables)
         jobs = self.jobs if jobs is None else jobs
-        if jobs < 1:
-            raise CampaignError(f"jobs must be >= 1, got {jobs}")
         policy = policy if policy is not None else self.policy
-        if policy is None:
-            policy = "serial" if jobs == 1 else "processes"
-        if policy not in EXECUTION_POLICIES:
-            raise CampaignError(
-                f"unknown execution policy {policy!r}; expected one of "
-                f"{', '.join(EXECUTION_POLICIES)}"
-            )
-        if jobs == 1 or len(runs) <= 1:
-            policy = "serial"
         max_retries = self.max_retries if max_retries is None else max_retries
-        if max_retries < 0:
-            raise CampaignError(f"max_retries must be >= 0, got {max_retries}")
         cell_timeout = self.cell_timeout if cell_timeout is None else cell_timeout
-        if cell_timeout is not None and cell_timeout <= 0:
-            raise CampaignError(
-                f"cell_timeout must be positive, got {cell_timeout}"
-            )
         keep_going = self.keep_going if keep_going is None else keep_going
         lease_seconds = (
             self.lease_seconds if lease_seconds is None else lease_seconds
         )
-        if lease_seconds is not None and lease_seconds <= 0:
-            raise CampaignError(
-                f"lease_seconds must be positive, got {lease_seconds}"
-            )
+        _check_knobs(jobs, policy, max_retries, cell_timeout, lease_seconds)
+        if policy is None:
+            policy = "serial" if jobs == 1 else "processes"
+        if jobs == 1 or len(runs) <= 1:
+            policy = "serial"
         if policy != "processes":
             # Leases require real worker processes whose silence is
             # observable; in-process policies cannot lose a worker.
@@ -1016,7 +802,6 @@ class Engine:
             on_result=on_result,
             on_failure=on_failure,
             lease_seconds=lease_seconds,
-            pool_host=self._pools_for(jobs),
         ).execute()
         return [result for result in ordered if result is not None]
 

@@ -6,14 +6,13 @@ harnesses use — one fresh machine, EPG, and scheduler per cell — so a
 campaign cell is bit-identical to the equivalent single-figure run.
 Cells are independent by construction, which is what makes the fan-out
 trivial: ``jobs > 1`` ships the declarative specs to
-:meth:`repro.api.engine.Engine.run_many` (process pool by default,
-thread pool with ``policy="threads"``) and streams results back into the
-JSON-lines store as they complete.
+:meth:`repro.api.engine.Engine.run_many` (worker processes by default,
+worker threads with ``policy="threads"``) and streams results back into
+the JSON-lines store as they complete.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -334,44 +333,6 @@ def _execute_cell(run: RunSpec) -> RunResult:
     return run_result
 
 
-def execute_chunk(runs: list[RunSpec]) -> "list[RunResult]":
-    """Execute a batch of cells in one worker round trip.
-
-    The pooled executor groups cells by workload before dispatch, so a
-    chunk's cells share the worker's memoized EPGs, traces, and
-    analyses instead of rebuilding them once per task.
-    """
-    return [execute_run(run) for run in runs]
-
-
-def execute_chunk_outcomes(
-    runs: list[RunSpec],
-) -> "list[tuple[str, RunResult | Exception]]":
-    """Execute a batch, reporting per-cell errors as data, not raises.
-
-    The engine's fan-out loop needs exact failure attribution — which
-    cell of a chunk raised — so worker-side exceptions travel back as
-    ``("err", exc)`` markers next to their siblings' ``("ok", result)``
-    instead of poisoning the whole chunk.  A future-level exception
-    therefore always means the transport died (worker crash, broken
-    pool), never a cell.
-    """
-    outcomes: "list[tuple[str, RunResult | Exception]]" = []
-    for run in runs:
-        try:
-            outcomes.append(("ok", execute_run(run)))
-        except Exception as exc:
-            try:
-                # Full round-trip: an exception whose custom __init__
-                # signature pickles but fails to *unpickle* would kill
-                # the parent's result pipe (a fake pool break).
-                pickle.loads(pickle.dumps(exc))
-            except Exception:
-                exc = CampaignError(f"{type(exc).__name__}: {exc}")
-            outcomes.append(("err", exc))
-    return outcomes
-
-
 def _open_metrics(result: "OpenSystemResult") -> dict[str, float]:
     """Flatten an :class:`~repro.sim.results.OpenSystemResult` for the store."""
     stats = result.response_stats()
@@ -430,7 +391,7 @@ def run_campaign(
 ) -> CampaignOutcome:
     """Expand and execute a campaign.
 
-    ``jobs=1`` runs inline (deterministic ordering, no pool overhead —
+    ``jobs=1`` runs inline (deterministic ordering, no worker overhead —
     also what the refitted figure harnesses use); ``jobs>1`` fans cells
     out over worker processes, or over threads with
     ``policy="threads"``.  The cell loop itself lives in
@@ -446,8 +407,8 @@ def run_campaign(
     thereby a repair pass.
 
     ``lease_seconds`` arms worker-liveness leases (processes policy
-    only; see :mod:`repro.campaign.leases`): a worker silent for a full
-    lease has its cell charged a ``crash`` failure and resubmitted.
+    only; see :class:`repro.api.engine.Engine`): a worker silent for a
+    full lease is killed and its cell charged a ``crash`` failure.
     """
     if jobs < 1:
         raise CampaignError(f"jobs must be >= 1, got {jobs}")

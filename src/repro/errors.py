@@ -35,8 +35,8 @@ class DimensionMismatchError(PresburgerError):
 
     def __reduce__(self) -> tuple[type["DimensionMismatchError"], tuple[int, int, str]]:
         # Custom __init__ signature: pickle must replay the constructor
-        # arguments, not the rendered message, or the pool's result pipe
-        # breaks (same pattern as CellTimeoutError below).
+        # arguments, not the rendered message, or the worker's result
+        # pipe breaks (same pattern as CellTimeoutError below).
         return (type(self), (self.expected, self.actual, self.context))
 
 
@@ -207,16 +207,16 @@ class CellTimeoutError(CampaignError):
 
     def __reduce__(self):
         # Custom __init__ signature: pickle must replay (key, timeout),
-        # not the rendered message, or the pool's result pipe breaks.
+        # not the rendered message, or the worker's result pipe breaks.
         return (type(self), (self.key, self.timeout))
 
 
 class WorkerCrashError(CampaignError):
-    """A pool worker died (crash, OOM-kill) while executing a cell.
+    """A worker process died (crash, OOM-kill) while executing a cell.
 
-    Raised in place of the bare ``BrokenProcessPool`` once the engine has
-    isolated the crash to a single cell, so the failure names the cell
-    instead of the pool.
+    The engine's supervisor knows which cell each worker had started, so
+    the charge names exactly that cell; the worker's other cells are
+    requeued uncharged.
     """
 
     def __init__(self, key: str) -> None:
@@ -230,11 +230,11 @@ class WorkerCrashError(CampaignError):
 class LeaseExpiredError(WorkerCrashError):
     """A leased cell's worker stopped heartbeating before completion.
 
-    Subclasses :class:`WorkerCrashError` because a stale heartbeat means
-    the worker is presumed dead (killed without breaking the pool, or
-    its process wedged beyond even its heartbeat thread); quarantine
-    records therefore classify lease expiries as ``crash``, and the
-    engine resubmits the cell through the ordinary retry machinery.
+    Subclasses :class:`WorkerCrashError` because a worker silent for a
+    whole lease is presumed dead (stopped, or wedged beyond even its
+    beat thread) and is killed; quarantine records therefore classify
+    lease expiries as ``crash``, and the engine retries the cell through
+    the ordinary retry machinery.
     """
 
     def __init__(self, key: str, lease_seconds: float) -> None:

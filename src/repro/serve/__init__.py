@@ -10,8 +10,9 @@ failure-shaped:
   :meth:`~repro.campaign.spec.CampaignSpec.spec_hash`, so two clients
   asking the same question share one running campaign and completed
   cells replay straight from the JSONL result store.
-- **Leases** — dispatched cells carry worker-liveness leases
-  (:mod:`repro.campaign.leases`); a silent worker's cell is resubmitted.
+- **Leases** — workers beat while they run a cell
+  (:class:`repro.api.engine.Engine` ``lease_seconds``); a silent
+  worker is killed and its cell retried.
 - **Crash recovery** — the server rebuilds campaign state from the
   result stores and their spec sidecars on restart, and clients
   reattach by spec hash.

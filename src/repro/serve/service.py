@@ -4,12 +4,12 @@ The service owns every admitted campaign as a :class:`CampaignJob` keyed
 by spec hash.  All job bookkeeping — subscriber lists, event history,
 state transitions — happens on the server's event-loop thread, so it
 needs no locks; the engine runs each campaign on a worker thread from a
-bounded pool (each with a *private* worker pool — see
-:attr:`repro.api.engine.Engine.private_pool` — so recovering one
-campaign's hung cell cannot kill a sibling campaign's workers) and
-posts events back with ``call_soon_threadsafe``.  Filesystem work on
-the admission path (spec sidecars, the status glob) runs via
-``asyncio.to_thread`` so a slow disk never stalls connected clients.
+bounded pool (concurrent engines never share a worker process, so
+recovering one campaign's hung cell cannot touch a sibling campaign's
+workers) and posts events back with ``call_soon_threadsafe``.
+Filesystem work on the admission path (spec sidecars, the status glob)
+runs via ``asyncio.to_thread`` so a slow disk never stalls connected
+clients.
 
 Fault-first invariants, in one place:
 
@@ -267,9 +267,6 @@ class CampaignJob:
                 )
             )
 
-        # A private pool: campaigns run concurrently, and hung-cell
-        # recovery (cell_timeout, lease reaping) terminates the pool —
-        # which must never take a sibling campaign's workers down.
         engine = Engine(
             jobs=config.jobs,
             policy=config.policy,
@@ -277,31 +274,29 @@ class CampaignJob:
             cell_timeout=config.cell_timeout,
             keep_going=True,
             lease_seconds=config.lease_seconds,
-            private_pool=True,
         )
         batch = max(1, config.batch_cells)
-        with engine:
-            for start in range(0, len(todo), batch):
-                if self.service.draining:
-                    self.post(
-                        event(
-                            "suspended",
-                            spec_hash=self.spec_hash,
-                            done=done,
-                            total=len(runs),
-                            reason="draining",
-                            hint=(
-                                "completed cells are in the store; reattach "
-                                "by spec hash to finish the rest"
-                            ),
-                        )
+        for start in range(0, len(todo), batch):
+            if self.service.draining:
+                self.post(
+                    event(
+                        "suspended",
+                        spec_hash=self.spec_hash,
+                        done=done,
+                        total=len(runs),
+                        reason="draining",
+                        hint=(
+                            "completed cells are in the store; reattach "
+                            "by spec hash to finish the rest"
+                        ),
                     )
-                    return
-                engine.run_many(
-                    todo[start : start + batch],
-                    on_result=on_result,
-                    on_failure=on_failure,
                 )
+                return
+            engine.run_many(
+                todo[start : start + batch],
+                on_result=on_result,
+                on_failure=on_failure,
+            )
         ordered = [
             results[run.cell_key()]
             for run in runs

@@ -45,7 +45,7 @@ Rules are ``<action>@<site>[:<glob>][,param=value]*``:
   duration.
 
 Plans activate through the ``REPRO_FAULT_PLAN`` environment variable
-(which pool workers inherit) or :func:`configure_fault_plan`; with no
+(which worker processes inherit) or :func:`configure_fault_plan`; with no
 plan active, :func:`fault_point` is a dictionary lookup and a string
 compare — cheap enough to leave compiled into hot paths.
 """
@@ -73,7 +73,7 @@ ACTIONS = ("crash", "error", "hang", "delay", "disconnect", "corrupt")
 SITES = ("cell", "kernel", "store", "serve")
 
 #: Exit status of an injected worker crash (distinctive in core dumps
-#: and CI logs; any non-zero status breaks the pool identically).
+#: and CI logs; any death is charged to the worker's cell identically).
 CRASH_EXIT_STATUS = 177
 
 
@@ -295,9 +295,9 @@ def active_fault_plan() -> FaultPlan | None:
 def configure_fault_plan(text: str | None) -> FaultPlan | None:
     """Install (or with ``None``, remove) the process-wide fault plan.
 
-    Routes through the environment so pool workers spawned afterwards
-    inherit it, and retires any cached worker pool (whose workers were
-    forked before the plan existed) via the worker-state epoch.
+    Routes through the environment so worker processes spawned
+    afterwards inherit it, and retires idle workers (forked before the
+    plan existed) via the worker-state epoch.
     """
     from repro.util.invalidation import bump_worker_state_epoch
 

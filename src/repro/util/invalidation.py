@@ -1,14 +1,15 @@
 """A process-wide epoch counter for fork-inherited worker state.
 
-The campaign engine keeps one long-lived worker pool across
+The campaign engine keeps its worker processes alive across
 :meth:`repro.api.engine.Engine.run_many` calls (workers are expensive to
 start: a fresh interpreter plus a NumPy import per worker).  Forked
-workers snapshot the parent's module state at pool creation, so any
+workers snapshot the parent's module state when they start, so any
 later change the workers must observe — a plugin registered at runtime,
 the fast-cache/memo toggles, a reconfigured persistent memo store —
 would silently not reach them.  Every such mutation calls
-:func:`bump_worker_state_epoch`; the pool cache compares epochs and
-replaces a stale pool instead of reusing it.
+:func:`bump_worker_state_epoch`; the engine stamps each idle worker with
+the epoch it started under and replaces a stale one instead of reusing
+it.
 
 The epoch only works if every mutable module global is known to it, so
 modules *declare* their fork-inherited state with

@@ -1,42 +1,46 @@
-"""Worker-liveness leases: heartbeat files and the engine's reaper.
+"""Worker-liveness leases: pipe beats and the supervisor's silence check.
 
 Leases catch the failure shape nothing else does: a worker that is
-*dead but undetected* — stopped, wedged past its own crash reporting,
-or killed in a way the pool never notices.  The heartbeat file's mtime
-is the proof of life; when it goes stale the reaper charges exactly the
-leased cell and resubmits the innocent bystanders.
+*alive but silent* — stopped, or wedged past its own crash reporting.
+While a unit runs, its lane sends a beat down its pipe every quarter
+lease; a lane silent for a whole lease is killed, exactly its started
+cell is charged, and no other cell is touched.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
-import repro.campaign.leases as leases
-from repro.api.engine import _terminate_shared_pool
+import repro.api.engine as engine_module
+from repro.api.engine import _beat, _beat_interval
 from repro.campaign.executor import run_campaign
 from repro.campaign.failures import classify_failure
-from repro.campaign.leases import (
-    LEASE_HEARTBEAT_FRACTION,
-    MIN_HEARTBEAT_INTERVAL,
-    grant_lease,
-    heartbeat_age,
-    heartbeat_interval,
-)
 from repro.campaign.spec import CampaignSpec, MachineVariant, SchedulerSpec
 from repro.errors import CampaignError, LeaseExpiredError, WorkerCrashError
 from repro.util.faults import configure_fault_plan
+from repro.util.invalidation import bump_worker_state_epoch
 
 
 @pytest.fixture
 def fault_plan():
     yield configure_fault_plan
     configure_fault_plan(None)
+
+
+@pytest.fixture
+def silent_lanes(monkeypatch):
+    """Lanes forked from now on never beat (the patch is fork-inherited;
+    the epoch bump retires idle lanes forked before it)."""
+    monkeypatch.setattr(
+        engine_module, "_beat", lambda send, interval, stop: None
+    )
+    bump_worker_state_epoch()
+    yield
+    bump_worker_state_epoch()
 
 
 def _spec() -> CampaignSpec:
@@ -52,57 +56,37 @@ def _spec() -> CampaignSpec:
 
 class TestHeartbeatPrimitives:
     def test_interval_is_a_fraction_of_the_lease(self):
-        assert heartbeat_interval(1.0) == pytest.approx(
-            LEASE_HEARTBEAT_FRACTION
-        )
-        assert heartbeat_interval(100.0) == pytest.approx(
-            100.0 * LEASE_HEARTBEAT_FRACTION
-        )
+        assert _beat_interval(1.0) == pytest.approx(0.25)
+        assert _beat_interval(100.0) == pytest.approx(25.0)
 
     def test_interval_is_floored_for_tiny_leases(self):
-        assert heartbeat_interval(0.001) == MIN_HEARTBEAT_INTERVAL
+        assert _beat_interval(0.001) == 0.01
 
-    def test_grant_creates_and_stamps(self, tmp_path):
-        lease = tmp_path / "deep" / "unit-1.hb"
-        grant_lease(lease)
-        assert lease.exists()
-        assert heartbeat_age(lease) < 5.0
-
-    def test_age_of_missing_file_is_infinite(self, tmp_path):
-        assert heartbeat_age(tmp_path / "gone.hb") == float("inf")
-
-    def test_age_uses_mtime(self, tmp_path):
-        lease = tmp_path / "unit-1.hb"
-        grant_lease(lease)
-        stale = time.time() - 60.0
-        os.utime(lease, (stale, stale))
-        assert heartbeat_age(lease) >= 59.0
-        assert heartbeat_age(lease, now=stale) == 0.0
-
-    def test_beat_renews_until_stopped(self, tmp_path):
-        lease = tmp_path / "unit-1.hb"
-        grant_lease(lease)
-        stale = time.time() - 60.0
-        os.utime(lease, (stale, stale))
+    def test_beat_renews_until_stopped(self):
+        beats = []
         stop = threading.Event()
         thread = threading.Thread(
-            target=leases._beat, args=(str(lease), 0.01, stop), daemon=True
+            target=_beat, args=(beats.append, 0.01, stop), daemon=True
         )
         thread.start()
         deadline = time.monotonic() + 5.0
-        while heartbeat_age(lease) > 1.0 and time.monotonic() < deadline:
+        while len(beats) < 3 and time.monotonic() < deadline:
             time.sleep(0.01)
         stop.set()
         thread.join(timeout=5.0)
-        assert heartbeat_age(lease) < 5.0
+        assert not thread.is_alive()
+        assert len(beats) >= 3
+        assert set(beats) == {("beat",)}
 
-    def test_beat_stops_when_the_file_vanishes(self, tmp_path):
-        lease = tmp_path / "unit-1.hb"
+    def test_beat_stops_when_the_parent_hangs_up(self):
+        def send(message):
+            raise BrokenPipeError
+
         stop = threading.Event()
         thread = threading.Thread(
-            target=leases._beat, args=(str(lease), 0.01, stop), daemon=True
+            target=_beat, args=(send, 0.01, stop), daemon=True
         )
-        thread.start()  # file never existed: the first utime ends the loop
+        thread.start()  # the first failed send ends the loop
         thread.join(timeout=5.0)
         assert not thread.is_alive()
 
@@ -149,16 +133,12 @@ class TestReaper:
         self, fault_plan, tmp_path
     ):
         """Cells legitimately running longer than the lease must never
-        expire units waiting for pool capacity.  The executor premarks
-        queued futures as running, so if they were dispatched eagerly a
-        queued unit would anchor its lease with no worker heartbeating
-        it — the engine instead caps in-flight units at ``jobs``, and a
-        lease only ages once a worker actually holds the unit."""
-        _terminate_shared_pool(2)
-        # Every cell runs ~1s (heartbeats keep flowing during the
-        # delay) against a 0.4s lease: with 4 cells on 2 workers, two
-        # units always wait while both workers are legitimately busy
-        # for longer than a full lease.
+        expire units waiting for a free lane: a lease only ages once a
+        lane actually holds the unit."""
+        # Every cell runs ~1s (beats keep flowing during the delay)
+        # against a 0.4s lease: with 4 cells on 2 lanes, two units
+        # always wait while both lanes are legitimately busy for longer
+        # than a full lease.
         fault_plan(f"ledger={tmp_path}; delay@cell:*,seconds=1.0")
         spec = CampaignSpec(
             name="lease-queue",
@@ -186,18 +166,13 @@ class TestReaper:
         assert len(outcome.results) == 2
 
     def test_stale_heartbeat_expires_exactly_the_leased_cell(
-        self, fault_plan, tmp_path, monkeypatch
+        self, fault_plan, tmp_path, silent_lanes
     ):
         """A worker that stops beating is presumed dead: its cell is
         charged a LeaseExpiredError (kind crash) while the innocent
-        cells complete on a fresh pool."""
-        # Silence the worker-side heartbeat thread; forked workers
-        # inherit the patched module, so the lease granted at dispatch
-        # is never renewed.  The pool must fork *after* the patch.
-        monkeypatch.setattr(leases, "_beat", lambda path, interval, stop: None)
-        _terminate_shared_pool(2)
+        cell completes on its own lane."""
         # The hang keeps the victim alive well past the lease without
-        # raising, which is exactly the shape only the reaper catches.
+        # raising, which is exactly the shape only the lease catches.
         fault_plan(
             f"ledger={tmp_path}; hang@cell:MxM|*|LS|seed=0*,seconds=15,times=1"
         )
@@ -217,14 +192,12 @@ class TestReaper:
         assert "RS" in outcome.results[0].key
 
     def test_expired_cell_recovers_through_retries(
-        self, fault_plan, tmp_path, monkeypatch
+        self, fault_plan, tmp_path, silent_lanes
     ):
         """With a retry budget the expiry is absorbed: the fault ledger
-        exhausts, the retry beats normally, and the campaign matches the
-        fault-free run."""
+        exhausts, the retry finishes well inside its lease, and the
+        campaign matches the fault-free run."""
         baseline = run_campaign(_spec())
-        monkeypatch.setattr(leases, "_beat", lambda path, interval, stop: None)
-        _terminate_shared_pool(2)
         fault_plan(
             f"ledger={tmp_path}; hang@cell:MxM|*|LS|seed=0*,seconds=15,times=1"
         )
