@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SchedulingError, SimulationError, ValidationError
+from repro.errors import (
+    InfeasibleScheduleError,
+    SchedulingError,
+    SimulationError,
+    ValidationError,
+)
 from repro.sched.base import PlanMode, SchedulerPlan, default_layout
 from repro.sched.locality import LocalityScheduler, StaticLocalityScheduler
 from repro.sched.locality_mapping import LocalityMappingScheduler
@@ -108,6 +113,22 @@ class TestStaticDriver:
         warm = sim.run_plan(small_epg, paired).processes[consumer]
         cold = sim.run_plan(small_epg, split).processes[consumer]
         assert warm.misses < cold.misses
+
+    def test_consumer_queued_before_its_producer_deadlocks(
+        self, small_machine, small_epg
+    ):
+        layout = default_layout(small_epg, small_machine)
+        producer, consumer = "T.ph0.p0", "T.ph1.p0"
+        others = [p for p in small_epg.pids if p not in (producer, consumer)]
+        plan = SchedulerPlan(
+            "inverted",
+            PlanMode.STATIC,
+            layout,
+            core_queues=[[consumer, producer], others],
+        )
+        with pytest.raises(InfeasibleScheduleError, match="blocked heads") as info:
+            MPSoCSimulator(small_machine).run_plan(small_epg, plan)
+        assert repr(consumer) in str(info.value)
 
 
 class TestDynamicDriver:
