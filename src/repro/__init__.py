@@ -34,7 +34,6 @@ Quickstart::
 from repro.cache import CacheGeometry, SetAssociativeCache
 from repro.procgraph import ExtendedProcessGraph, Process, ProcessGraph, Task
 from repro.sched import (
-    DynamicLocalityScheduler,
     LocalityMappingScheduler,
     LocalityScheduler,
     RandomScheduler,
@@ -57,7 +56,6 @@ except PackageNotFoundError:  # pragma: no cover - depends on install mode
 
 __all__ = [
     "CacheGeometry",
-    "DynamicLocalityScheduler",
     "ExtendedProcessGraph",
     "LocalityMappingScheduler",
     "LocalityScheduler",

@@ -1,11 +1,11 @@
-"""The compiled true-LRU kernel behind every simulator driver.
+"""The compiled true-LRU kernel behind the simulator's event loop.
 
 Every process's cache behaviour is simulated access by access on its
 core's cache.  :func:`run_budget` does that in C (``_lru.c``, about
 forty lines) on a per-cache :class:`LRUState` of packed NumPy arrays,
 reading a trace's ``lines``, ``writes`` and ``extra_cycles`` arrays in
-place.  The preemptive (RRS) driver runs each quantum through it; the
-static and dynamic drivers run each whole trace through
+place.  The shared-queue (RRS) policy runs each quantum through it; the
+static and dynamic policies run each whole trace through
 :func:`run_trace`, the same entry point with an unbounded budget.
 Counters, stop index and end state equal the scalar oracles,
 :meth:`SetAssociativeCache.run_budget_rows` and
@@ -21,7 +21,7 @@ a symlink, owned by someone other than the current user or root, or
 group- or world-writable — is never built into or loaded; the temp
 directory is created private (``0o700``).  When anything fails (no
 compiler, a compile error, a ``dlopen`` error, no trusted directory)
-:func:`load_kernel` returns None and the driver runs the oracle
+:func:`load_kernel` returns None and the simulator runs the oracle
 instead, with identical results.
 """
 

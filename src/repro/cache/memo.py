@@ -1,6 +1,6 @@
-"""The fast-cache toggle shared by every simulator driver.
+"""The simulator's fast-cache toggle.
 
-Each driver runs its traces on the compiled LRU kernel
+The simulator runs its traces on the compiled LRU kernel
 (:mod:`repro.cache.lru_kernel`) while the fast cache is on and the
 kernel loads, and on the scalar reference cache
 (:class:`~repro.cache.sa_cache.SetAssociativeCache`) otherwise, with
@@ -28,7 +28,7 @@ register_worker_state(
 
 
 def fast_cache_enabled() -> bool:
-    """Whether the drivers may run on the compiled LRU kernel."""
+    """Whether the simulator may run on the compiled LRU kernel."""
     return _fast_cache_enabled
 
 

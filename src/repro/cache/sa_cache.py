@@ -8,7 +8,7 @@ schedulers' path) and :meth:`run_budget_rows` (run until a cycle budget
 is exhausted — the round-robin scheduler's preemption path).  Both are
 the oracles of the compiled kernel in :mod:`repro.cache.lru_kernel`
 (its :func:`~repro.cache.lru_kernel.run_trace` and
-:func:`~repro.cache.lru_kernel.run_budget`) and the drivers' fallback
+:func:`~repro.cache.lru_kernel.run_budget`) and the simulator's fallback
 when the kernel is off or cannot be built.  :class:`CacheState` is the
 snapshot both sides export, so their tag states compare exactly.
 
@@ -162,7 +162,7 @@ class SetAssociativeCache:
 
         ``writes`` is an optional parallel bool array marking stores.  This
         is the whole-trace oracle of the compiled kernel and the
-        non-preemptive drivers' fallback, so the loop body is kept
+        non-preemptive policies' fallback, so the loop body is kept
         minimal.
         """
         sets = self._sets
@@ -240,7 +240,7 @@ class SetAssociativeCache:
         *after* the access whose completion meets or exceeds the budget
         (a quantum never splits an access).  This is the reference the
         compiled kernel (:func:`repro.cache.lru_kernel.run_budget`) is
-        checked against, and the preemptive driver's fallback.
+        checked against, and the shared-queue policy's fallback.
 
         Returns ``(next_index, cycles_used, hits, misses)``; ``next_index``
         equals ``len(lines)`` when the trace completed.

@@ -34,11 +34,9 @@ from repro.sched.online import (
 )
 from repro.sched.random_sched import RandomScheduler
 from repro.sched.round_robin import RoundRobinScheduler
-from repro.sched.dynamic_locality import DynamicLocalityScheduler
 from repro.sched.fifo import FifoScheduler
 
 __all__ = [
-    "DynamicLocalityScheduler",
     "FifoScheduler",
     "GreedyEtfScheduler",
     "LocalityAdmissionScheduler",

@@ -4,8 +4,9 @@
 - :class:`ProcessTrace` / :func:`build_trace` — deterministic memory traces
   from a process's affine accesses under a concrete layout;
 - :class:`MPSoCSimulator` — executes a :class:`~repro.sched.base.SchedulerPlan`
-  over an EPG, modelling per-core LRU caches, dependence-driven release,
-  and (for RRS) quantum preemption with a shared ready queue;
+  over an EPG on one event loop, modelling per-core LRU caches,
+  dependence-driven release, and (for RRS) quantum preemption with a
+  shared ready queue;
 - :class:`SimulationResult` — makespan, per-core and per-process records,
   aggregate cache statistics.
 """

@@ -8,17 +8,17 @@ queue.  This module makes that queueing a pluggable cost axis, mirroring
 the arrival-process registry: models register under a string name
 (:data:`repro.api.registries.CONTENTION`), machines select one via
 :attr:`~repro.sim.config.MachineConfig.contention`, and the simulator
-charges the model once per executed segment (a whole process on the
-non-preemptive drivers, a quantum under RRS).
+charges the model once per executed segment (a whole process under the
+static and dynamic policies, a quantum under RRS).
 
 Charging is deliberately *post-segment and stateless*: a model sees only
 a segment's aggregate off-chip transfer count (misses plus dirty
 write-backs), the core that ran it, and the segment's undelayed wall
 duration, and returns a non-negative stall appended to that duration.
 Because the stall is a pure function of per-segment aggregates the
-scalar and quantum-batched drivers charge bit-identical delays, results
-stay independent of worker/pool scheduling, and hit/miss/write-back
-counts are conserved by construction — the invariants
+compiled kernel and the scalar oracle charge bit-identical delays,
+results stay independent of which worker process ran a cell, and
+hit/miss/write-back counts are conserved by construction — the invariants
 ``tests/test_contention_properties.py`` enforces.
 
 Builtin models:
@@ -51,9 +51,10 @@ class ContentionModel(Protocol):
     """One off-chip contention cost model (structural interface).
 
     Implementations must be deterministic pure functions of their
-    constructor parameters and the ``delay_cycles`` arguments — the
-    simulator may charge segments in any order (the static driver's
-    worklist is not time-ordered) and across worker processes.
+    constructor parameters and the ``delay_cycles`` arguments: each
+    segment's stall must depend on that segment alone, so that a cell
+    gives the same result in any worker process and on either cache
+    path.
     """
 
     def delay_cycles(self, core: int, transfers: int, wall_cycles: int) -> int:

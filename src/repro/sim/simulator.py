@@ -1,21 +1,29 @@
 """The MPSoC simulator: executes a scheduler plan over an EPG.
 
-Three drivers, one per :class:`~repro.sched.base.PlanMode`:
+One event loop runs every plan.  Events sit on a deterministic
+``(time, sequence)`` heap (:class:`~repro.sim.engine.EventQueue`): an
+application arrives, or a core ends a segment.  After each event the
+plan's dispatch policy, one per :class:`~repro.sched.base.PlanMode`,
+fills the idle cores:
 
-- **static** (LS/LSM): fixed per-core queues, non-preemptive.  Because the
-  per-core caches are private and contents persist across processes, each
-  process's cache behaviour depends only on the *order* of processes on
-  its own core, so traces are resolved core-locally and start times
-  computed analytically from dependence completion times (a worklist pass
-  replaces a full event loop).
-- **dynamic** (RS/LSD): whenever a core goes idle, a picker callback
-  chooses among the ready processes; non-preemptive, event-driven.
+- **static** (LS-static): fixed per-core queues, non-preemptive.  A core
+  whose queue head is not ready yet waits for it, so every process
+  starts at ``max(core free, dependences complete)``.  Per-core caches
+  are private and keep their contents across processes, so a process's
+  cache behaviour depends only on the order of its own core's queue.
+- **dynamic** (RS, LS, LSM, the online zoo): the lowest idle core asks
+  the plan's picker to choose among the ready processes; non-preemptive.
 - **shared_queue** (RRS): one global FIFO, quantum preemption, processes
   resume wherever a core frees up — faithfully migrating (and thereby
   losing) cache state, per the paper's motivating scenario.
 
+Every dispatch charges one *segment* the same way: the whole trace
+(static, dynamic) or one quantum's work budget (shared queue) on the
+core's cache, then write-backs, the context switch, the core's speed and
+off-chip contention.
+
 Open-system admission (beyond the paper): :meth:`MPSoCSimulator.run_open`
-executes the dynamic and shared-queue drivers against an
+executes dynamic and shared-queue plans against an
 :class:`~repro.sim.arrivals.ArrivalSchedule` — each application's process
 set is *released* only once its arrival event fires, so the ready set
 grows mid-run and the result carries per-app response-time records
@@ -53,8 +61,9 @@ Modelling notes (documented substitutions for Simics):
 
 from __future__ import annotations
 
-import heapq
+import bisect
 from collections import deque
+from collections.abc import Iterable
 
 from repro.cache.lru_kernel import LRUState, load_kernel, run_budget, run_trace
 from repro.cache.memo import fast_cache_enabled
@@ -92,13 +101,142 @@ def execute_trace(
 ) -> tuple[int, int]:
     """Run a process's whole trace on its core's cache; ``(hits, misses)``.
 
-    The static and dynamic drivers call this once per dispatch: the
+    The event loop calls this once per whole-trace dispatch: the
     compiled kernel for :class:`LRUState` caches, the scalar oracle
     otherwise.  Both update the cache's statistics and tag state alike.
     """
     if isinstance(cache, LRUState):
         return run_trace(cache, trace.lines, trace.writes, trace.extra_cycles)
     return cache.run_trace(trace.lines, trace.writes)
+
+
+# -- dispatch policies -------------------------------------------------------------
+
+
+class _Policy:
+    """Which process an idle core runs next; one subclass per PlanMode.
+
+    Subclasses implement ``release(pids)``, taking processes that became
+    ready or were preempted, and ``pick(idle, running, freed)``, returning
+    the next ``(core, pid)`` dispatch or None.  ``budget(core)`` is a
+    core's work budget per dispatch; None runs the whole trace.
+    """
+
+    def budget(self, core: int) -> int | None:
+        return None
+
+    def blocked(self) -> str:
+        """Why a run ended with processes left."""
+        return "no process left ready to dispatch"
+
+
+class _StaticQueues(_Policy):
+    """Fixed per-core queues: an idle core starts its head once it is ready."""
+
+    def __init__(self, plan: SchedulerPlan, epg: ProcessGraph, config: MachineConfig):
+        queues = plan.core_queues
+        if len(queues) != config.num_cores:
+            raise SchedulingError(
+                f"plan has {len(queues)} queues but machine has "
+                f"{config.num_cores} cores"
+            )
+        placed = [pid for queue in queues for pid in queue]
+        if sorted(placed) != sorted(epg.pids):
+            raise SchedulingError(
+                "static plan must place every process exactly once"
+            )
+        self._queues = queues
+        self._next = [0] * len(queues)
+        self._ready: set[str] = set()
+
+    def release(self, pids: Iterable[str]) -> None:
+        self._ready.update(pids)
+
+    def pick(
+        self, idle: set[int], running: dict[int, str], freed: int | None
+    ) -> tuple[int, str] | None:
+        for core in sorted(idle):
+            queue, index = self._queues[core], self._next[core]
+            if index < len(queue) and queue[index] in self._ready:
+                self._next[core] = index + 1
+                return core, queue[index]
+        return None
+
+    def blocked(self) -> str:
+        heads = [
+            queue[index]
+            for queue, index in zip(self._queues, self._next)
+            if index < len(queue)
+        ]
+        return f"static schedule deadlocked; blocked heads: {heads}"
+
+
+class _Picker(_Policy):
+    """Dispatch-time choice: the lowest idle core asks the plan's picker.
+
+    The picker sees the ready pids sorted, the pid that last ran on the
+    core, and the pids running on the other cores in core order.
+    """
+
+    def __init__(self, plan: SchedulerPlan, epg: ProcessGraph, config: MachineConfig):
+        self._picker = plan.picker
+        self._ready: list[str] = []
+        self._last: list[str | None] = [None] * config.num_cores
+
+    def release(self, pids: Iterable[str]) -> None:
+        for pid in pids:
+            bisect.insort(self._ready, pid)
+
+    def pick(
+        self, idle: set[int], running: dict[int, str], freed: int | None
+    ) -> tuple[int, str] | None:
+        if not self._ready or not idle:
+            return None
+        core = min(idle)
+        co_running = tuple(running[c] for c in sorted(running))
+        pid = self._picker(core, tuple(self._ready), self._last[core], co_running)
+        if pid not in self._ready:
+            raise SchedulingError(f"picker returned {pid!r}, not in the ready set")
+        self._ready.remove(pid)
+        self._last[core] = pid
+        return core, pid
+
+
+class _SharedFifo(_Policy):
+    """One FIFO over all cores, one quantum per dispatch.
+
+    The core that just freed takes the head first; only then do the
+    lowest idle cores take work.  That order decides where preempted
+    processes resume, and so which of them migrate.
+    """
+
+    def __init__(self, plan: SchedulerPlan, epg: ProcessGraph, config: MachineConfig):
+        if config.classify_misses:
+            raise SimulationError(
+                "miss classification is not supported in shared-queue mode; "
+                "use a static or dynamic plan"
+            )
+        self._queue: deque[str] = deque()
+        # Work budget per quantum, in Table-2-core work cycles: a core at
+        # speed s retires s cycles of work per wall cycle.
+        self._budgets = [
+            max(1, int(plan.quantum_cycles * config.speed_for(core)))
+            for core in range(config.num_cores)
+        ]
+
+    def release(self, pids: Iterable[str]) -> None:
+        self._queue.extend(pids)
+
+    def pick(
+        self, idle: set[int], running: dict[int, str], freed: int | None
+    ) -> tuple[int, str] | None:
+        if not self._queue or not idle:
+            return None
+        core = freed if freed in idle else min(idle)
+        return core, self._queue.popleft()
+
+    def budget(self, core: int) -> int:
+        return self._budgets[core]
 
 
 class MPSoCSimulator:
@@ -124,35 +262,17 @@ class MPSoCSimulator:
         validate: bool = True,
     ) -> SimulationResult:
         """Prepare the scheduler's plan and execute it."""
-        if not isinstance(scheduler, Scheduler):
-            raise ValidationError(f"expected a Scheduler, got {scheduler!r}")
-        epg.validate_acyclic()
-        base = layout if layout is not None else default_layout(epg, self._config)
-        plan = scheduler.prepare(epg, self._config, base)
+        plan = self._prepare(epg, scheduler, layout)
         return self.run_plan(epg, plan, validate=validate)
 
     def run_plan(
         self, epg: ProcessGraph, plan: SchedulerPlan, validate: bool = True
     ) -> SimulationResult:
         """Execute an already-prepared plan."""
-        geometry = self._config.geometry()
-        traces = {
-            process.pid: build_trace(process, plan.layout, geometry)
-            for process in epg
-        }
-        if plan.mode is PlanMode.STATIC:
-            result = self._run_static(epg, plan, traces)
-        elif plan.mode is PlanMode.DYNAMIC:
-            result = self._run_dynamic(epg, plan, traces)
-        else:
-            result = self._run_shared_queue(epg, plan, traces)
-        result.metadata.update(plan.metadata)
-        result.metadata["layout"] = plan.layout
+        result = self._execute(epg, plan)
         if validate:
             result.validate_against(epg)
         return result
-
-    # -- open-system entry points ----------------------------------------------------
 
     def run_open(
         self,
@@ -163,11 +283,7 @@ class MPSoCSimulator:
         validate: bool = True,
     ) -> OpenSystemResult:
         """Run with dynamic admission: apps release at their arrival cycles."""
-        if not isinstance(scheduler, Scheduler):
-            raise ValidationError(f"expected a Scheduler, got {scheduler!r}")
-        epg.validate_acyclic()
-        base = layout if layout is not None else default_layout(epg, self._config)
-        plan = scheduler.prepare(epg, self._config, base)
+        plan = self._prepare(epg, scheduler, layout)
         return self.run_plan_open(epg, plan, schedule, validate=validate)
 
     def run_plan_open(
@@ -183,29 +299,27 @@ class MPSoCSimulator:
                 f"expected an ArrivalSchedule, got {schedule!r}"
             )
         release = self._release_map(epg, schedule)
-        geometry = self._config.geometry()
-        traces = {
-            process.pid: build_trace(process, plan.layout, geometry)
-            for process in epg
-        }
-        if plan.mode is PlanMode.DYNAMIC:
-            result = self._run_dynamic(epg, plan, traces, release=release)
-        elif plan.mode is PlanMode.SHARED_QUEUE:
-            result = self._run_shared_queue(epg, plan, traces, release=release)
-        else:
+        if plan.mode is PlanMode.STATIC:
             raise SimulationError(
                 "static plans fix every core queue ahead of time and cannot "
                 "admit mid-run arrivals; use a dynamic or shared-queue "
                 "scheduler for open-system runs"
             )
-        result.metadata.update(plan.metadata)
-        result.metadata["layout"] = plan.layout
         open_result = OpenSystemResult.from_simulation(
-            result, epg, schedule, machine=self._config
+            self._execute(epg, plan, release), epg, schedule, machine=self._config
         )
         if validate:
             open_result.validate_against(epg)
         return open_result
+
+    def _prepare(
+        self, epg: ProcessGraph, scheduler: Scheduler, layout
+    ) -> SchedulerPlan:
+        if not isinstance(scheduler, Scheduler):
+            raise ValidationError(f"expected a Scheduler, got {scheduler!r}")
+        epg.validate_acyclic()
+        base = layout if layout is not None else default_layout(epg, self._config)
+        return scheduler.prepare(epg, self._config, base)
 
     @staticmethod
     def _release_map(epg: ProcessGraph, schedule: ArrivalSchedule) -> dict[str, int]:
@@ -230,18 +344,7 @@ class MPSoCSimulator:
         by_app = schedule.as_dict()
         return {process.pid: by_app[process.task_name] for process in epg}
 
-    # -- cost helpers --------------------------------------------------------------
-
-    def _duration(self, trace: ProcessTrace, hits: int, misses: int) -> int:
-        config = self._config
-        return trace.cost_cycles(
-            hits, misses, config.cache_hit_cycles, config.miss_cycles
-        )
-
-    def _writeback_cycles(self, dirty_evictions: int) -> int:
-        if self._config.charge_writebacks:
-            return dirty_evictions * self._config.memory_latency_cycles
-        return 0
+    # -- caches ------------------------------------------------------------------------
 
     def _run_whole_trace(
         self,
@@ -284,387 +387,138 @@ class MPSoCSimulator:
             return [LRUState(geometry) for geometry in geometries], None
         return [SetAssociativeCache(geometry) for geometry in geometries], None
 
-    # -- static driver (LS / LSM) ----------------------------------------------------
+    # -- the event loop ----------------------------------------------------------------
 
-    def _run_static(
+    def _execute(
         self,
         epg: ProcessGraph,
         plan: SchedulerPlan,
-        traces: dict[str, ProcessTrace],
-    ) -> SimulationResult:
-        num_cores = self._config.num_cores
-        queues = plan.core_queues
-        if len(queues) != num_cores:
-            raise SchedulingError(
-                f"plan has {len(queues)} queues but machine has {num_cores} cores"
-            )
-        placed = [pid for queue in queues for pid in queue]
-        if sorted(placed) != sorted(epg.pids):
-            raise SchedulingError(
-                "static plan must place every process exactly once"
-            )
-        caches, classifiers = self._make_caches()
-        contention = contention_model_for(self._config)
-        queue_delay = [0] * num_cores
-        transfers_of = [0] * num_cores
-        completion: dict[str, int] = {}
-        records: dict[str, ProcessRecord] = {}
-        next_index = [0] * num_cores
-        free_at = [0] * num_cores
-        busy = [0] * num_cores
-        remaining = len(placed)
-        while remaining:
-            progressed = False
-            for core in range(num_cores):
-                queue = queues[core]
-                while next_index[core] < len(queue):
-                    pid = queue[next_index[core]]
-                    preds = epg.predecessors(pid)
-                    if not all(p in completion for p in preds):
-                        break
-                    ready_at = max((completion[p] for p in preds), default=0)
-                    start = max(free_at[core], ready_at)
-                    trace = traces[pid]
-                    cache = caches[core]
-                    evictions_before = cache.stats.dirty_evictions
-                    classifier = classifiers[core] if classifiers else None
-                    hits, misses = self._run_whole_trace(cache, classifier, trace)
-                    evicted = cache.stats.dirty_evictions - evictions_before
-                    duration = self._duration(trace, hits, misses)
-                    duration += self._writeback_cycles(evicted)
-                    duration += self._config.context_switch_cycles
-                    duration = self._config.scaled_cycles(core, duration)
-                    if contention is not None:
-                        transfers = misses + evicted
-                        stall = contention.delay_cycles(core, transfers, duration)
-                        duration += stall
-                        queue_delay[core] += stall
-                        transfers_of[core] += transfers
-                    completion[pid] = start + duration
-                    records[pid] = ProcessRecord(
-                        pid=pid,
-                        start_cycle=start,
-                        end_cycle=start + duration,
-                        cores=[core],
-                        hits=hits,
-                        misses=misses,
-                    )
-                    free_at[core] = start + duration
-                    busy[core] += duration
-                    next_index[core] += 1
-                    remaining -= 1
-                    progressed = True
-            if remaining and not progressed:
-                blocked = [
-                    queues[c][next_index[c]]
-                    for c in range(num_cores)
-                    if next_index[c] < len(queues[c])
-                ]
-                raise InfeasibleScheduleError(
-                    f"static schedule deadlocked; blocked heads: {blocked}"
-                )
-        makespan = max(completion.values(), default=0)
-        cores = [
-            CoreRecord(
-                core_id=core,
-                busy_cycles=busy[core],
-                executed_pids=list(queues[core]),
-                cache=caches[core].stats,
-                classified=classifiers[core].counts if classifiers else None,
-                queue_delay_cycles=queue_delay[core],
-                bus_transfers=transfers_of[core],
-            )
-            for core in range(num_cores)
-        ]
-        return SimulationResult(
-            scheduler_name=plan.scheduler_name,
-            makespan_cycles=makespan,
-            clock_hz=self._config.clock_hz,
-            processes=records,
-            cores=cores,
-        )
-
-    # -- dynamic driver (RS / LSD) -----------------------------------------------------
-
-    def _run_dynamic(
-        self,
-        epg: ProcessGraph,
-        plan: SchedulerPlan,
-        traces: dict[str, ProcessTrace],
         release: dict[str, int] | None = None,
     ) -> SimulationResult:
-        num_cores = self._config.num_cores
+        """Run ``plan`` to completion; ``release`` maps pids to arrival cycles."""
+        config = self._config
+        policy = {
+            PlanMode.STATIC: _StaticQueues,
+            PlanMode.DYNAMIC: _Picker,
+            PlanMode.SHARED_QUEUE: _SharedFifo,
+        }[plan.mode](plan, epg, config)
+        geometry = config.geometry()
+        traces = {
+            process.pid: build_trace(process, plan.layout, geometry)
+            for process in epg
+        }
         caches, classifiers = self._make_caches()
-        contention = contention_model_for(self._config)
+        contention = contention_model_for(config)
+        num_cores = config.num_cores
+        idle = set(range(num_cores))
+        running: dict[int, str] = {}
+        busy = [0] * num_cores
+        executed: list[list[str]] = [[] for _ in range(num_cores)]
         queue_delay = [0] * num_cores
         transfers_of = [0] * num_cores
+        cursor = dict.fromkeys(epg.pids, 0)
+        hits_of = dict.fromkeys(epg.pids, 0)
+        misses_of = dict.fromkeys(epg.pids, 0)
+        preemptions = dict.fromkeys(epg.pids, 0)
+        cores_of: dict[str, list[int]] = {pid: [] for pid in epg.pids}
+        first_dispatch: dict[str, int] = {}
+        completion: dict[str, int] = {}
+
         events = EventQueue()
         pending = {pid: len(epg.predecessors(pid)) for pid in epg.pids}
         # Open-system admission: a pid participates only once its app has
         # arrived.  ``release`` empty (the closed path) marks everything
-        # arrived up front and schedules no events, so the loop below is
-        # byte-identical to the historical closed-batch driver.
+        # arrived up front and schedules no arrival events.
         release = release or {}
         arrived = {pid for pid in pending if release.get(pid, 0) == 0}
         for pid, cycle in sorted(release.items()):
             if cycle > 0:
                 events.push(cycle, ("arrive", -1, pid))
-        # ``ready`` is a heap: newly released pids are pushed in O(log n)
-        # instead of re-sorting the whole list on every completion event.
-        # Pickers still see the identical fully-sorted tuple (built once
-        # per dispatch batch), so every dispatch decision — including
-        # RS's rng consumption order — is unchanged.
-        ready = sorted(
-            pid
-            for pid, count in pending.items()
-            if count == 0 and pid in arrived
+        policy.release(
+            sorted(pid for pid, count in pending.items() if count == 0 and pid in arrived)
         )
-        ready_view: tuple[str, ...] | None = tuple(ready)
-        completed: set[str] = set()
-        idle: set[int] = set(range(num_cores))
-        last_pid: list[str | None] = [None] * num_cores
-        running: dict[int, str] = {}
-        busy = [0] * num_cores
-        executed: list[list[str]] = [[] for _ in range(num_cores)]
-        records: dict[str, ProcessRecord] = {}
 
-        def dispatch_idle_cores(now: int) -> None:
-            nonlocal ready_view
-            while ready and idle:
-                if ready_view is None:
-                    ready_view = tuple(sorted(ready))
-                core = min(idle)
-                co_running = tuple(
-                    running[c] for c in sorted(running) if c != core
-                )
-                pid = plan.picker(core, ready_view, last_pid[core], co_running)
-                if pid not in ready:
-                    raise SchedulingError(
-                        f"picker returned {pid!r}, not in the ready set"
-                    )
-                ready.remove(pid)
-                heapq.heapify(ready)
-                ready_view = tuple(item for item in ready_view if item != pid)
+        hit_cost = config.cache_hit_cycles
+        miss_extra = config.memory_latency_cycles
+        writeback_cost = miss_extra if config.charge_writebacks else 0
+        pick = policy.pick
+        budgets = [policy.budget(core) for core in range(num_cores)]
+
+        # Fill the idle cores, then advance to the next event.  ``freed`` is
+        # the core whose segment just ended (None after an arrival).
+        now, freed = 0, None
+        while True:
+            while (choice := pick(idle, running, freed)) is not None:
+                core, pid = choice
                 idle.discard(core)
                 running[core] = pid
+                first_dispatch.setdefault(pid, now)
                 trace = traces[pid]
                 cache = caches[core]
-                classifier = classifiers[core] if classifiers else None
                 evictions_before = cache.stats.dirty_evictions
-                hits, misses = self._run_whole_trace(cache, classifier, trace)
+                budget = budgets[core]
+                if budget is None:
+                    classifier = classifiers[core] if classifiers else None
+                    hits, misses = self._run_whole_trace(cache, classifier, trace)
+                    used = trace.cost_cycles(hits, misses, hit_cost, config.miss_cycles)
+                    finished = True
+                else:
+                    start = cursor[pid]
+                    if isinstance(cache, LRUState):
+                        cursor[pid], used, hits, misses, _, _, _ = run_budget(
+                            cache, trace.lines, trace.writes, trace.extra_cycles,
+                            start, hit_cost, miss_extra, budget,
+                        )
+                    else:
+                        cursor[pid], used, hits, misses = cache.run_budget_rows(
+                            trace.lines, trace.writes, trace.extra_cycles,
+                            start, hit_cost, miss_extra, budget,
+                        )
+                    finished = cursor[pid] >= trace.num_accesses
                 evicted = cache.stats.dirty_evictions - evictions_before
-                duration = self._duration(trace, hits, misses)
-                duration += self._writeback_cycles(evicted)
-                duration += self._config.context_switch_cycles
-                duration = self._config.scaled_cycles(core, duration)
+                used += evicted * writeback_cost + config.context_switch_cycles
+                used = config.scaled_cycles(core, used)
                 if contention is not None:
                     transfers = misses + evicted
-                    stall = contention.delay_cycles(core, transfers, duration)
-                    duration += stall
+                    stall = contention.delay_cycles(core, transfers, used)
+                    used += stall
                     queue_delay[core] += stall
                     transfers_of[core] += transfers
-                records[pid] = ProcessRecord(
-                    pid=pid,
-                    start_cycle=now,
-                    end_cycle=now + duration,
-                    cores=[core],
-                    hits=hits,
-                    misses=misses,
-                )
-                busy[core] += duration
+                hits_of[pid] += hits
+                misses_of[pid] += misses
+                cores_of[pid].append(core)
                 executed[core].append(pid)
-                last_pid[core] = pid
-                events.push(now + duration, ("done", core, pid))
-
-        dispatch_idle_cores(0)
-        makespan = 0
-        while events:
+                busy[core] += used
+                kind = "done" if finished else "preempt"
+                events.push(now + used, (kind, core, pid))
+            if not events:
+                break
             now, (kind, core, pid) = events.pop()
             if kind == "arrive":
                 arrived.add(pid)
                 if pending[pid] == 0:
-                    heapq.heappush(ready, pid)
-                    ready_view = None
-                dispatch_idle_cores(now)
+                    policy.release([pid])
+                freed = None
                 continue
-            if kind != "done":
-                raise SimulationError(f"unexpected event {kind!r}")
-            completed.add(pid)
-            if running.get(core) == pid:
-                del running[core]
-            makespan = max(makespan, now)
+            del running[core]
+            idle.add(core)
+            freed = core
+            if kind == "preempt":
+                preemptions[pid] += 1
+                policy.release([pid])
+                continue
+            completion[pid] = now
+            ready = []
             for successor in sorted(epg.successors(pid)):
                 pending[successor] -= 1
                 if pending[successor] == 0 and successor in arrived:
-                    heapq.heappush(ready, successor)
-                    ready_view = None
-            idle.add(core)
-            dispatch_idle_cores(now)
-        if len(completed) != len(epg):
-            raise InfeasibleScheduleError(
-                f"dynamic run finished with {len(epg) - len(completed)} "
-                f"processes never dispatched"
-            )
-        cores = [
-            CoreRecord(
-                core_id=core,
-                busy_cycles=busy[core],
-                executed_pids=executed[core],
-                cache=caches[core].stats,
-                classified=classifiers[core].counts if classifiers else None,
-                queue_delay_cycles=queue_delay[core],
-                bus_transfers=transfers_of[core],
-            )
-            for core in range(num_cores)
-        ]
-        return SimulationResult(
-            scheduler_name=plan.scheduler_name,
-            makespan_cycles=makespan,
-            clock_hz=self._config.clock_hz,
-            processes=records,
-            cores=cores,
-        )
+                    ready.append(successor)
+            policy.release(ready)
 
-    # -- shared-queue driver (RRS) --------------------------------------------------------
-
-    def _run_shared_queue(
-        self,
-        epg: ProcessGraph,
-        plan: SchedulerPlan,
-        traces: dict[str, ProcessTrace],
-        release: dict[str, int] | None = None,
-    ) -> SimulationResult:
-        if self._config.classify_misses:
-            raise SimulationError(
-                "miss classification is not supported in shared-queue mode; "
-                "use a static or dynamic plan"
-            )
-        num_cores = self._config.num_cores
-        quantum = plan.quantum_cycles
-        config = self._config
-        caches, _ = self._make_caches()
-        contention = contention_model_for(config)
-        queue_delay = [0] * num_cores
-        transfers_of = [0] * num_cores
-        hit_cost = config.cache_hit_cycles
-        miss_extra = config.memory_latency_cycles
-        # Work budget per quantum, in Table-2-core work cycles: a core at
-        # speed s retires s cycles of work per wall cycle.
-        budgets = [
-            max(1, int(quantum * config.speed_for(core)))
-            for core in range(num_cores)
-        ]
-        events = EventQueue()
-        pending = {pid: len(epg.predecessors(pid)) for pid in epg.pids}
-        release = release or {}
-        arrived = {pid for pid in pending if release.get(pid, 0) == 0}
-        for pid, cycle in sorted(release.items()):
-            if cycle > 0:
-                events.push(cycle, ("arrive", -1, pid))
-        queue: deque[str] = deque(
-            sorted(
-                pid
-                for pid, count in pending.items()
-                if count == 0 and pid in arrived
-            )
-        )
-        cursor = {pid: 0 for pid in epg.pids}
-        hits_acc = {pid: 0 for pid in epg.pids}
-        misses_acc = {pid: 0 for pid in epg.pids}
-        preemptions = {pid: 0 for pid in epg.pids}
-        cores_of: dict[str, list[int]] = {pid: [] for pid in epg.pids}
-        first_dispatch: dict[str, int] = {}
-        completion: dict[str, int] = {}
-        idle: set[int] = set(range(num_cores))
-        busy = [0] * num_cores
-        executed: list[list[str]] = [[] for _ in range(num_cores)]
-
-        def dispatch(core: int, now: int) -> None:
-            if not queue:
-                idle.add(core)
-                return
-            pid = queue.popleft()
-            idle.discard(core)
-            if pid not in first_dispatch:
-                first_dispatch[pid] = now
-            trace = traces[pid]
-            cache = caches[core]
-            evictions_before = cache.stats.dirty_evictions
-            if isinstance(cache, LRUState):
-                next_index, used, hits, misses, _, _, _ = run_budget(
-                    cache,
-                    trace.lines,
-                    trace.writes,
-                    trace.extra_cycles,
-                    cursor[pid],
-                    hit_cost,
-                    miss_extra,
-                    budgets[core],
-                )
-            else:
-                next_index, used, hits, misses = cache.run_budget_rows(
-                    trace.lines,
-                    trace.writes,
-                    trace.extra_cycles,
-                    cursor[pid],
-                    hit_cost,
-                    miss_extra,
-                    budgets[core],
-                )
-            evicted = cache.stats.dirty_evictions - evictions_before
-            used += self._writeback_cycles(evicted)
-            used += config.context_switch_cycles
-            used = config.scaled_cycles(core, used)
-            if contention is not None:
-                transfers = misses + evicted
-                stall = contention.delay_cycles(core, transfers, used)
-                used += stall
-                queue_delay[core] += stall
-                transfers_of[core] += transfers
-            cursor[pid] = next_index
-            hits_acc[pid] += hits
-            misses_acc[pid] += misses
-            cores_of[pid].append(core)
-            executed[core].append(pid)
-            busy[core] += used
-            finished = next_index >= trace.num_accesses
-            kind = "done" if finished else "preempt"
-            events.push(now + used, (kind, core, pid))
-
-        def wake_idle(now: int) -> None:
-            while queue and idle:
-                dispatch(min(idle), now)
-
-        wake_idle(0)
-        makespan = 0
-        while events:
-            now, (kind, core, pid) = events.pop()
-            if kind == "arrive":
-                arrived.add(pid)
-                if pending[pid] == 0:
-                    queue.append(pid)
-                wake_idle(now)
-                continue
-            makespan = max(makespan, now)
-            if kind == "preempt":
-                preemptions[pid] += 1
-                queue.append(pid)
-                dispatch(core, now)
-                wake_idle(now)
-            elif kind == "done":
-                completion[pid] = now
-                for successor in sorted(epg.successors(pid)):
-                    pending[successor] -= 1
-                    if pending[successor] == 0 and successor in arrived:
-                        queue.append(successor)
-                dispatch(core, now)
-                wake_idle(now)
-            else:
-                raise SimulationError(f"unexpected event {kind!r}")
         if len(completion) != len(epg):
             raise InfeasibleScheduleError(
-                f"shared-queue run finished with "
-                f"{len(epg) - len(completion)} processes incomplete"
+                f"{policy.blocked()} ({len(epg) - len(completion)} of "
+                f"{len(epg)} processes incomplete)"
             )
         records = {
             pid: ProcessRecord(
@@ -672,8 +526,8 @@ class MPSoCSimulator:
                 start_cycle=first_dispatch[pid],
                 end_cycle=completion[pid],
                 cores=cores_of[pid],
-                hits=hits_acc[pid],
-                misses=misses_acc[pid],
+                hits=hits_of[pid],
+                misses=misses_of[pid],
                 preemptions=preemptions[pid],
             )
             for pid in epg.pids
@@ -684,6 +538,7 @@ class MPSoCSimulator:
                 busy_cycles=busy[core],
                 executed_pids=executed[core],
                 cache=caches[core].stats,
+                classified=classifiers[core].counts if classifiers else None,
                 queue_delay_cycles=queue_delay[core],
                 bus_transfers=transfers_of[core],
             )
@@ -691,8 +546,9 @@ class MPSoCSimulator:
         ]
         return SimulationResult(
             scheduler_name=plan.scheduler_name,
-            makespan_cycles=makespan,
-            clock_hz=self._config.clock_hz,
+            makespan_cycles=max(completion.values(), default=0),
+            clock_hz=config.clock_hz,
             processes=records,
             cores=cores,
+            metadata={**plan.metadata, "layout": plan.layout},
         )

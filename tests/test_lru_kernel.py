@@ -1,15 +1,15 @@
 """Conformance of the compiled LRU kernel against the scalar oracle.
 
-Every driver runs on the compiled kernel (:mod:`repro.cache.lru_kernel`):
-the preemptive (RRS) driver quantum by quantum through ``run_budget``,
-the static and dynamic drivers whole trace by whole trace through
+The event loop runs on the compiled kernel (:mod:`repro.cache.lru_kernel`):
+the shared-queue (RRS) policy quantum by quantum through ``run_budget``,
+the static and dynamic policies whole trace by whole trace through
 ``run_trace``.  They fall back to the scalar oracles,
 :meth:`SetAssociativeCache.run_budget_rows` and
 :meth:`SetAssociativeCache.run_trace`, when the fast cache is off or the
 kernel cannot be built.  Both sides must agree bit for bit: same stop
 index, cycle accounting, counters, statistics and end tag state (dirty
 lines included), per call and through whole closed and open runs of
-every driver.  The reference side of every full-run comparison is
+every dispatch policy.  The reference side of every full-run comparison is
 ``set_fast_cache(False)``, the pure oracle.
 """
 
@@ -507,9 +507,8 @@ class TestSharedQueueConformance:
             set_fast_cache(previous)
 
 
-#: One scheduler per whole-trace driver and policy: LS-static runs the
-#: static driver; LS (the dispatch-time LSD policy), LSM and RS the
-#: dynamic one.
+#: One scheduler per whole-trace dispatch policy and picker: LS-static
+#: runs the static policy; LS, LSM and RS the dynamic one.
 WHOLE_TRACE_SCHEDULERS = {
     "LS-static": StaticLocalityScheduler,
     "LS": LocalityScheduler,

@@ -1,4 +1,5 @@
-"""The three simulation drivers: static, dynamic, shared-queue."""
+"""The simulator's event loop under each dispatch policy: static, dynamic,
+shared-queue."""
 
 from __future__ import annotations
 
