@@ -3,7 +3,10 @@
 A :class:`PointSet` is the grounded form of a symbolic set: an (N, d) array
 of distinct integer points in canonical (lexicographically sorted) order.
 All sharing-matrix arithmetic in :mod:`repro.sharing` bottoms out in the
-numpy-backed intersections and unions implemented here.
+numpy-backed intersections and unions implemented here.  One-column sets
+(every array footprint, once linearised) are handled as flat int64
+vectors throughout; only multi-column sets pay for row-wise (void-view)
+sorting and set operations.
 """
 
 from __future__ import annotations
@@ -18,22 +21,25 @@ from repro.errors import DimensionMismatchError, ValidationError
 def _canonicalize(points: np.ndarray) -> np.ndarray:
     """Sort lexicographically and drop duplicate rows.
 
-    Point arrays that arrive already in canonical order — grid
+    One-column input never takes ``np.unique(axis=0)``, whose structured
+    row sort costs several times a flat sort: sorted input deduplicates
+    with a boundary scan, anything else with a flat ``np.unique``.
+    Multi-column input that is already lex-strictly increasing — grid
     enumerations, images of monotonic access maps, merges of disjoint
-    ranges — skip ``np.unique``'s sort: sorted 1-D input deduplicates
-    with a boundary scan, and lex-strictly-increasing n-D input is
-    already canonical.
+    ranges — is canonical as it stands; the rest goes through
+    ``np.unique(axis=0)``.
     """
     if points.size == 0:
         return points.reshape(0, points.shape[1] if points.ndim == 2 else 0)
     if points.shape[1] == 1:
         flat = points[:, 0]
-        if bool(np.all(flat[1:] >= flat[:-1])):
-            keep = np.empty(len(flat), dtype=bool)
-            keep[0] = True
-            np.not_equal(flat[1:], flat[:-1], out=keep[1:])
-            return points[keep]
-    elif _lex_strictly_increasing(points):
+        if not bool(np.all(flat[1:] >= flat[:-1])):
+            return np.unique(flat).reshape(-1, 1)
+        keep = np.empty(len(flat), dtype=bool)
+        keep[0] = True
+        np.not_equal(flat[1:], flat[:-1], out=keep[1:])
+        return points[keep]
+    if _lex_strictly_increasing(points):
         # Copy: the canonical array gets frozen, the input stays the
         # caller's.
         return points.copy()

@@ -44,31 +44,25 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from repro.errors import InfeasibleScheduleError, UnknownProcessError, ValidationError
+from repro.errors import InfeasibleScheduleError, ValidationError
 from repro.memory.layout import DataLayout
 from repro.procgraph.graph import ProcessGraph
 from repro.sched.base import PlanMode, Scheduler, SchedulerPlan
-from repro.sharing.matrix import SharingMatrix, sharing_matrix_for
+from repro.sharing.matrix import (
+    IncrementalSharingMatrix,
+    SharingMatrix,
+    sharing_matrix_for,
+)
 
 TrimPolicy = Literal["max-sharing", "min-sharing"]
 
 
-def make_locality_picker(sharing: SharingMatrix):
-    """Build the LS dispatch callback over a precomputed sharing matrix.
+def make_locality_picker(sharing: SharingMatrix | IncrementalSharingMatrix):
+    """Build the LS dispatch callback over a sharing matrix.
 
-    Selection among the ready processes, in order:
-
-    1. maximise ``M[last_on_core][q]`` (reuse what this core just cached);
-    2. tie-break by minimising ``Σ_r M[q][r]`` over the processes
-       currently running on other cores (do not duplicate their data);
-    3. final tie: lexicographic pid.
-
-    Scoring gathers whole matrix rows instead of per-pair lookups — the
-    picker runs on every dispatch of every dynamic simulation, and the
-    selected pid is identical to the scalar ``min(ready, key=score)``.
+    The picker dispatches :func:`locality_choice` among the ready
+    processes; a lone ready process is taken without scoring.
     """
-    matrix = sharing.matrix
-    index = {pid: i for i, pid in enumerate(sharing.pids)}
 
     def picker(
         core_id: int,
@@ -78,31 +72,67 @@ def make_locality_picker(sharing: SharingMatrix):
     ) -> str:
         if len(ready) == 1:
             return ready[0]
-        try:
-            rows = np.fromiter(
-                (index[pid] for pid in ready), dtype=np.intp, count=len(ready)
-            )
-            last_row = index[last_pid] if last_pid is not None else None
-            cols = np.fromiter(
-                (index[pid] for pid in running), dtype=np.intp, count=len(running)
-            )
-        except KeyError as exc:
-            raise UnknownProcessError(exc.args[0]) from None
-        if last_row is not None:
-            affinity = matrix[last_row, rows]
-        else:
-            affinity = np.zeros(len(rows), dtype=np.int64)
-        if len(cols):
-            concurrent = matrix[rows[:, None], cols].sum(axis=1)
-        else:
-            concurrent = np.zeros(len(rows), dtype=np.int64)
-        best = min(
-            range(len(ready)),
-            key=lambda k: (-affinity[k], concurrent[k], ready[k]),
-        )
-        return ready[best]
+        return locality_choice(sharing, ready, last_pid, running)
 
     return picker
+
+
+def locality_choice(
+    sharing: SharingMatrix | IncrementalSharingMatrix,
+    ready: Sequence[str],
+    last_pid: str | None,
+    running: Sequence[str],
+) -> str:
+    """The LS dispatch rule: the ready process a core should run next.
+
+    Selection among the ready processes, in order:
+
+    1. maximise ``M[last_on_core][q]`` (reuse what this core just cached);
+    2. tie-break by minimising ``Σ_r M[q][r]`` over the processes
+       currently running on other cores (do not duplicate their data);
+    3. final tie: lexicographic pid.
+
+    Scoring gathers whole matrix rows instead of per-pair lookups — the
+    rule runs on every dispatch of every dynamic simulation, and the
+    selected pid is identical to the scalar ``min(ready, key=score)``.
+    """
+    matrix = sharing.matrix
+    rows = sharing.rows(ready)
+    if last_pid is None:
+        affinity = [0] * len(ready)
+    else:
+        affinity = matrix[sharing.rows((last_pid,))[0], rows].tolist()
+    concurrent = matrix[rows[:, None], sharing.rows(running)].sum(axis=1).tolist()
+    best = min(
+        range(len(ready)),
+        key=lambda k: (-affinity[k], concurrent[k], ready[k]),
+    )
+    return ready[best]
+
+
+def trim_candidates(
+    sharing: SharingMatrix,
+    candidates: Sequence[str],
+    num_cores: int,
+    trim: TrimPolicy = "max-sharing",
+) -> list[str]:
+    """The Figure-3 initialisation: trim the first-round co-runners.
+
+    While more candidates remain than cores, drop the one whose total
+    sharing with the other candidates is largest (``"max-sharing"``) or
+    smallest (``"min-sharing"``); ties break on the pid the same way
+    (largest, resp. smallest).  Each round's totals are one sub-matrix
+    row sum minus its diagonal.
+    """
+    candidates = list(candidates)
+    pick = max if trim == "max-sharing" else min
+    while len(candidates) > num_cores:
+        rows = sharing.rows(candidates)
+        block = sharing.matrix[np.ix_(rows, rows)]
+        totals = (block.sum(axis=1) - block.diagonal()).tolist()
+        _, victim = pick(zip(totals, candidates))
+        candidates.remove(victim)
+    return candidates
 
 
 def figure3_schedule(
@@ -122,19 +152,12 @@ def figure3_schedule(
     predecessors = {pid: epg.predecessors(pid) for pid in epg.pids}
 
     # -- initialisation: pick the first-round co-runners ----------------------
-    candidates = sorted(p.pid for p in epg.independent_processes())
-    deferred: list[str] = []
-    while len(candidates) > num_cores:
-        totals = [
-            (sharing.total_sharing(pid, candidates), pid) for pid in candidates
-        ]
-        if trim == "max-sharing":
-            # Remove the candidate sharing the most with the others.
-            _, victim = max(totals, key=lambda item: (item[0], item[1]))
-        else:
-            _, victim = min(totals, key=lambda item: (item[0], item[1]))
-        candidates.remove(victim)
-        deferred.append(victim)
+    candidates = trim_candidates(
+        sharing,
+        sorted(p.pid for p in epg.independent_processes()),
+        num_cores,
+        trim,
+    )
 
     queues: list[list[str]] = [[] for _ in range(num_cores)]
     scheduled: set[str] = set()

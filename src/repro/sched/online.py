@@ -36,6 +36,7 @@ from typing import Sequence
 from repro.memory.layout import DataLayout
 from repro.procgraph.graph import ProcessGraph
 from repro.sched.base import PlanMode, Scheduler, SchedulerPlan
+from repro.sched.locality import make_locality_picker
 from repro.sharing.matrix import IncrementalSharingMatrix
 from repro.sim.trace import build_trace
 
@@ -167,6 +168,7 @@ class LocalityAdmissionScheduler(Scheduler):
         for process in epg:
             processes_of.setdefault(process.task_name, []).append(process)
         admitted: set[str] = set()
+        ls_picker = make_locality_picker(sharing)
 
         def ensure_admitted(pids: Sequence[str]) -> None:
             for pid in pids:
@@ -185,15 +187,7 @@ class LocalityAdmissionScheduler(Scheduler):
             if last_pid is not None:
                 ensure_admitted((last_pid,))
             ensure_admitted(running)
-            if len(ready) == 1:
-                return ready[0]
-            affinity = sharing.affinity(last_pid, ready)
-            concurrent = sharing.concurrent_load(ready, running)
-            best = min(
-                range(len(ready)),
-                key=lambda k: (-affinity[k], concurrent[k], ready[k]),
-            )
-            return ready[best]
+            return ls_picker(core_id, ready, last_pid, running)
 
         return SchedulerPlan(
             scheduler_name=self.name,

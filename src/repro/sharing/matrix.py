@@ -27,6 +27,16 @@ if TYPE_CHECKING:
     from repro.procgraph.graph import ProcessGraph
 
 
+def _rows(index: dict[str, int], pids: Sequence[str]) -> np.ndarray:
+    """Matrix indices of ``pids`` through a pid→index map, in one pass."""
+    try:
+        return np.fromiter(
+            (index[pid] for pid in pids), dtype=np.intp, count=len(pids)
+        )
+    except KeyError as exc:
+        raise UnknownProcessError(exc.args[0]) from None
+
+
 class SharingMatrix:
     """Symmetric matrix of pairwise shared bytes between processes."""
 
@@ -62,6 +72,10 @@ class SharingMatrix:
             raise UnknownProcessError(pid)
         return self._index[pid]
 
+    def rows(self, pids: Sequence[str]) -> np.ndarray:
+        """Row/column indices of ``pids``, in the given order."""
+        return _rows(self._index, pids)
+
     def shared(self, pid_a: str, pid_b: str) -> int:
         """``|SS(a,b)|`` in bytes."""
         return int(self._matrix[self.index_of(pid_a), self.index_of(pid_b)])
@@ -71,37 +85,19 @@ class SharingMatrix:
         i = self.index_of(pid)
         return int(self._matrix[i, i])
 
-    def total_sharing(self, pid: str, among: Sequence[str]) -> int:
-        """``Σ_q M[p][q]`` over ``q`` in ``among`` (excluding ``p`` itself).
-
-        This is the quantity the Figure-3 initialisation step minimises or
-        maximises when trimming the candidate set.
-        """
-        i = self.index_of(pid)
-        total = 0
-        for other in among:
-            j = self.index_of(other)
-            if j != i:
-                total += int(self._matrix[i, j])
-        return total
-
     def best_partner(
         self, pid: str, candidates: Sequence[str]
     ) -> tuple[str | None, int]:
-        """The candidate with maximum sharing with ``pid`` (ties: pid order).
+        """The candidate with maximum sharing with ``pid`` (ties: candidate order).
 
         Returns ``(None, 0)`` when ``candidates`` is empty.
         """
         i = self.index_of(pid)
-        best: str | None = None
-        best_value = -1
-        for candidate in candidates:
-            value = int(self._matrix[i, self.index_of(candidate)])
-            if value > best_value:
-                best, best_value = candidate, value
-        if best is None:
+        if not len(candidates):
             return None, 0
-        return best, best_value
+        values = self._matrix[i, self.rows(candidates)]
+        best = int(np.argmax(values))
+        return candidates[best], int(values[best])
 
     def render(self, title: str = "Sharing matrix (bytes)") -> str:
         """ASCII rendering in the style of Figure 2(a)."""
@@ -262,34 +258,14 @@ class IncrementalSharingMatrix:
         except KeyError as exc:
             raise UnknownProcessError(exc.args[0]) from None
 
-    def affinity(self, last_pid: str | None, ready: Sequence[str]) -> np.ndarray:
-        """``M[last][q]`` for each ready ``q`` (zeros when the core is cold)."""
-        rows = self._rows_of(ready)
-        if last_pid is None:
-            return np.zeros(len(rows), dtype=np.int64)
-        try:
-            last = self._index[last_pid]
-        except KeyError:
-            raise UnknownProcessError(last_pid) from None
-        return self._matrix[last, rows]
+    @property
+    def matrix(self) -> np.ndarray:
+        """The admitted processes' byte matrix (replaced on every admit)."""
+        return self._matrix
 
-    def concurrent_load(
-        self, ready: Sequence[str], running: Sequence[str]
-    ) -> np.ndarray:
-        """``Σ_r M[q][r]`` over running ``r``, for each ready ``q``."""
-        rows = self._rows_of(ready)
-        cols = self._rows_of(running)
-        if not len(cols):
-            return np.zeros(len(rows), dtype=np.int64)
-        return self._matrix[rows[:, None], cols].sum(axis=1)
-
-    def _rows_of(self, pids: Sequence[str]) -> np.ndarray:
-        try:
-            return np.fromiter(
-                (self._index[pid] for pid in pids), dtype=np.intp, count=len(pids)
-            )
-        except KeyError as exc:
-            raise UnknownProcessError(exc.args[0]) from None
+    def rows(self, pids: Sequence[str]) -> np.ndarray:
+        """Row/column indices of admitted ``pids``, in the given order."""
+        return _rows(self._index, pids)
 
     def snapshot(self) -> SharingMatrix:
         """The admitted processes' matrix as a frozen :class:`SharingMatrix`."""

@@ -75,7 +75,8 @@ class TestFullWorkloadRuns:
 
     def test_lsm_stays_within_band_of_ls_in_mix(self):
         """On this suite the re-layout is roughly neutral at system level
-        (see EXPERIMENTS.md): LSM must stay within a narrow band of LS."""
+        (ROADMAP.md open item 6 records LSM ≈ LS at |T|=4 and 5): LSM
+        must stay within a narrow band of LS."""
         epg = build_workload_mix(2, scale=SCALE)
         simulator = MPSoCSimulator(MACHINE)
         ls = simulator.run(epg, LocalityScheduler())

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.presburger.builders import box, interval, strided_interval
 from repro.presburger.constraints import Constraint
 from repro.presburger.maps import AffineMap
-from repro.presburger.points import PointSet
+from repro.presburger.points import PointSet, _canonicalize
 from repro.presburger.terms import LinearExpr, var
 
 point_lists = st.lists(
@@ -134,3 +134,38 @@ def test_block_overlap_matches_closed_form(start, len_a, len_b):
     b = interval("i", start, start + len_b)
     expected = max(0, min(len_a, start + len_b) - max(0, start))
     assert a.intersect(b).count() == expected
+
+
+@st.composite
+def point_arrays(draw):
+    """Random (N, 1) or (N, 2) int64 point arrays.
+
+    Covers sorted, unsorted, duplicate-heavy, negative, single-row and
+    empty inputs.
+    """
+    dim = draw(st.sampled_from([1, 2]))
+    span = draw(st.sampled_from([2, 50, 10**12]))
+    rows = draw(st.integers(0, 60))
+    values = draw(
+        st.lists(st.integers(-span, span), min_size=rows * dim, max_size=rows * dim)
+    )
+    points = np.array(values, dtype=np.int64).reshape(rows, dim)
+    order = draw(st.sampled_from(["as-drawn", "sorted", "unique-sorted"]))
+    if order == "sorted" and rows:
+        points = points[np.lexsort(points.T[::-1])]
+    elif order == "unique-sorted" and rows:
+        points = np.unique(points, axis=0)
+    return points
+
+
+class TestCanonicalizeAgainstUnique:
+    @settings(max_examples=300, deadline=None)
+    @given(point_arrays())
+    def test_matches_row_unique(self, points):
+        before = points.copy()
+        canonical = _canonicalize(points)
+        expected = np.unique(points, axis=0)
+        assert canonical.dtype == np.int64
+        assert canonical.shape == expected.shape
+        assert np.array_equal(canonical, expected)
+        assert np.array_equal(points, before)  # the input stays the caller's

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cache.geometry import CacheGeometry
 from repro.errors import UnknownArrayError, UnknownProcessError, ValidationError
@@ -16,6 +17,7 @@ from repro.programs.arrays import ArraySpec
 from repro.programs.fragments import ProgramFragment
 from repro.programs.loops import LoopNest
 from repro.programs.partition import block_partition
+from repro.sched.locality import trim_candidates
 from repro.sharing.conflicts import ConflictMatrix, compute_conflict_matrix
 from repro.sharing.matrix import SharingMatrix, compute_sharing_matrix
 
@@ -65,9 +67,28 @@ class TestSharingMatrix:
         with pytest.raises(UnknownProcessError):
             matrix.shared("p0", "zz")
 
-    def test_total_sharing_excludes_self(self):
+    def test_trim_totals_exclude_self(self):
+        # "a" has by far the largest footprint but shares nothing; "b"
+        # and "c" share with each other.  Counting the diagonal would
+        # make "a" the max-sharing victim.
+        matrix = SharingMatrix(
+            ("a", "b", "c"), np.array([[1000, 0, 0], [0, 10, 5], [0, 5, 10]])
+        )
+        assert trim_candidates(matrix, ["a", "b", "c"], 2) == ["a", "b"]
+        assert trim_candidates(matrix, ["a", "b", "c"], 2, "min-sharing") == [
+            "b",
+            "c",
+        ]
+
+    def test_rows_follow_call_order(self):
         matrix = compute_sharing_matrix(window_processes())
-        assert matrix.total_sharing("p0", ["p0", "p1"]) == matrix.shared("p0", "p1")
+        assert matrix.rows(["p1", "p0", "p1"]).tolist() == [1, 0, 1]
+        assert matrix.rows([]).dtype == np.intp
+
+    def test_rows_reject_unknown_pid(self):
+        matrix = compute_sharing_matrix(window_processes())
+        with pytest.raises(UnknownProcessError):
+            matrix.rows(["p0", "zz"])
 
     def test_best_partner(self):
         procs = window_processes()
@@ -108,6 +129,81 @@ class TestSharingMatrix:
     def test_render_contains_labels(self):
         matrix = compute_sharing_matrix(window_processes())
         assert "p0" in matrix.render()
+
+
+def scalar_total_sharing(sharing: SharingMatrix, pid: str, among) -> int:
+    """Reference: ``Σ_q M[p][q]`` over ``q`` in ``among``, one pair at a time."""
+    i = sharing.index_of(pid)
+    total = 0
+    for other in among:
+        j = sharing.index_of(other)
+        if j != i:
+            total += int(sharing.matrix[i, j])
+    return total
+
+
+def scalar_trim(sharing: SharingMatrix, candidates, num_cores, trim) -> list[str]:
+    """Reference: the Figure-3 trim loop with per-pid totals."""
+    candidates = list(candidates)
+    while len(candidates) > num_cores:
+        totals = [
+            (scalar_total_sharing(sharing, pid, candidates), pid)
+            for pid in candidates
+        ]
+        pick = max if trim == "max-sharing" else min
+        _, victim = pick(totals, key=lambda item: (item[0], item[1]))
+        candidates.remove(victim)
+    return candidates
+
+
+def scalar_best_partner(sharing: SharingMatrix, pid: str, candidates):
+    """Reference: first candidate with strictly greatest sharing."""
+    i = sharing.index_of(pid)
+    best, best_value = None, -1
+    for candidate in candidates:
+        value = int(sharing.matrix[i, sharing.index_of(candidate)])
+        if value > best_value:
+            best, best_value = candidate, value
+    return (None, 0) if best is None else (best, best_value)
+
+
+@st.composite
+def tied_matrices(draw):
+    """A random symmetric non-negative matrix over few values (many ties)."""
+    n = draw(st.integers(1, 9))
+    top = draw(st.sampled_from([0, 1, 3, 1000]))
+    values = draw(
+        st.lists(st.integers(0, top), min_size=n * n, max_size=n * n)
+    )
+    raw = np.array(values, dtype=np.int64).reshape(n, n)
+    matrix = np.triu(raw) + np.triu(raw, 1).T
+    pids = [f"p{k}" for k in draw(st.permutations(range(n)))]
+    return SharingMatrix(pids, matrix)
+
+
+class TestDenseAgainstScalarOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(tied_matrices(), st.data())
+    def test_trim_matches_scalar_loop(self, sharing, data):
+        candidates = data.draw(
+            st.lists(st.sampled_from(sharing.pids), unique=True)
+        )
+        num_cores = data.draw(st.integers(1, max(1, len(candidates))))
+        for trim in ("max-sharing", "min-sharing"):
+            assert trim_candidates(
+                sharing, candidates, num_cores, trim
+            ) == scalar_trim(sharing, candidates, num_cores, trim)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_matrices(), st.data())
+    def test_best_partner_matches_scalar_loop(self, sharing, data):
+        pid = data.draw(st.sampled_from(sharing.pids))
+        candidates = data.draw(
+            st.lists(st.sampled_from(sharing.pids), unique=True)
+        )
+        assert sharing.best_partner(pid, candidates) == scalar_best_partner(
+            sharing, pid, candidates
+        )
 
 
 class TestConflictMatrix:
