@@ -60,8 +60,19 @@ TrimPolicy = Literal["max-sharing", "min-sharing"]
 def make_locality_picker(sharing: SharingMatrix | IncrementalSharingMatrix):
     """Build the LS dispatch callback over a sharing matrix.
 
-    The picker dispatches :func:`locality_choice` among the ready
-    processes; a lone ready process is taken without scoring.
+    LS and LSM pass their precomputed matrix; LA passes its incrementally
+    admitted one, which the picker reads afresh on every call.
+
+    Selection among the ready processes, in order:
+
+    1. maximise ``M[last_on_core][q]`` (reuse what this core just cached);
+    2. tie-break by minimising ``Σ_r M[q][r]`` over the processes
+       currently running on other cores (do not duplicate their data);
+    3. final tie: lexicographic pid.
+
+    Scoring gathers whole matrix rows instead of per-pair lookups — the
+    picker runs on every dispatch of every dynamic simulation, and the
+    selected pid is identical to the scalar ``min(ready, key=score)``.
     """
 
     def picker(
@@ -72,42 +83,20 @@ def make_locality_picker(sharing: SharingMatrix | IncrementalSharingMatrix):
     ) -> str:
         if len(ready) == 1:
             return ready[0]
-        return locality_choice(sharing, ready, last_pid, running)
+        matrix = sharing.matrix
+        rows = sharing.rows(ready)
+        if last_pid is None:
+            affinity = [0] * len(ready)
+        else:
+            affinity = matrix[sharing.rows((last_pid,))[0], rows].tolist()
+        concurrent = matrix[rows[:, None], sharing.rows(running)].sum(axis=1).tolist()
+        best = min(
+            range(len(ready)),
+            key=lambda k: (-affinity[k], concurrent[k], ready[k]),
+        )
+        return ready[best]
 
     return picker
-
-
-def locality_choice(
-    sharing: SharingMatrix | IncrementalSharingMatrix,
-    ready: Sequence[str],
-    last_pid: str | None,
-    running: Sequence[str],
-) -> str:
-    """The LS dispatch rule: the ready process a core should run next.
-
-    Selection among the ready processes, in order:
-
-    1. maximise ``M[last_on_core][q]`` (reuse what this core just cached);
-    2. tie-break by minimising ``Σ_r M[q][r]`` over the processes
-       currently running on other cores (do not duplicate their data);
-    3. final tie: lexicographic pid.
-
-    Scoring gathers whole matrix rows instead of per-pair lookups — the
-    rule runs on every dispatch of every dynamic simulation, and the
-    selected pid is identical to the scalar ``min(ready, key=score)``.
-    """
-    matrix = sharing.matrix
-    rows = sharing.rows(ready)
-    if last_pid is None:
-        affinity = [0] * len(ready)
-    else:
-        affinity = matrix[sharing.rows((last_pid,))[0], rows].tolist()
-    concurrent = matrix[rows[:, None], sharing.rows(running)].sum(axis=1).tolist()
-    best = min(
-        range(len(ready)),
-        key=lambda k: (-affinity[k], concurrent[k], ready[k]),
-    )
-    return ready[best]
 
 
 def trim_candidates(
